@@ -1,6 +1,7 @@
 """Benchmark ENGINE: scalar loops versus the vectorized batch engine.
 
-Times the two evaluation modes of :class:`repro.engine.BatchEvaluator`
+Times the sweep-backed workload functions against the scalar reference
+loops of ``tests/oracles/``
 on the workloads the paper's artefacts are built from — Monte-Carlo
 populations (25 / 200 / 1000 samples x 41 temperatures), the Fig. 2
 sizing sweep and the Fig. 3 x Monte-Carlo configuration-axis cross
@@ -58,11 +59,13 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import spsolve
 
+from repro.analysis import run_monte_carlo
 from repro.cells import default_library
 from repro.core import DynamicThermalManager, ReadoutConfig, SensorBank, ThrottlingPolicy
-from repro.engine import Axis, BatchEvaluator, ProcessExecutor, Sweep
+from repro.engine import Axis, ProcessExecutor, Sweep
 from repro.serve import ServeClient, start_server_thread
-from repro.experiments import run_dtm_study
+from repro.experiments import run_calibration_study, run_dtm_study
+from repro.optimize import sweep_width_ratio
 from repro.oscillator import (
     PAPER_FIG3_CONFIGURATIONS,
     ConfigurationBank,
@@ -71,6 +74,13 @@ from repro.oscillator import (
 )
 from repro.tech import CMOS013, CMOS018, CMOS025, CMOS035, sample_technology_array
 from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
+from tests.oracles import (
+    evaluate_configuration_scalar,
+    run_calibration_study_scalar,
+    run_monte_carlo_scalar,
+    scan_loop,
+    sweep_width_ratio_scalar,
+)
 
 CONFIGURATION = RingConfiguration.parse("2INV+3NAND2")
 DENSE_GRID = np.linspace(-50.0, 150.0, 41)
@@ -104,7 +114,8 @@ def _best_time(callable_, rounds=3):
 
 
 def _run_monte_carlo(vectorized, sample_count):
-    return BatchEvaluator(vectorized=vectorized).run_monte_carlo(
+    run = run_monte_carlo if vectorized else run_monte_carlo_scalar
+    return run(
         CMOS035,
         CONFIGURATION,
         sample_count=sample_count,
@@ -258,7 +269,7 @@ def test_configuration_bank_fig3_cross_product(benchmark, mode):
 def test_fig3_named_configurations_through_sweep_api(benchmark, vectorized):
     """The declarative form of the Fig. 3 sweep: configuration axis x
     temperature axis, lowered onto the bank broadcast (or the scalar
-    oracle loop through the compat evaluator).  The library is built
+    oracle loop of ``tests/oracles/``).  The library is built
     outside both timed closures so the comparison measures evaluation,
     not library construction."""
     library = default_library(CMOS035)
@@ -272,11 +283,9 @@ def test_fig3_named_configurations_through_sweep_api(benchmark, vectorized):
                 .values
             )
     else:
-        engine = BatchEvaluator(vectorized=False)
-
         def evaluate():
             return np.stack([
-                engine.evaluate_configuration(
+                evaluate_configuration_scalar(
                     library, configuration, DENSE_GRID
                 ).response.periods_s
                 for configuration in PAPER_FIG3_CONFIGURATIONS.values()
@@ -306,8 +315,8 @@ def test_banked_scan_speedup_at_9_sites_x_1000_samples():
     banked_s, fast = _best_time(banked)
 
     start = time.perf_counter()
-    oracle = bank.scan_loop(
-        SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
+    oracle = scan_loop(
+        bank, SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
     )
     oracle_s = time.perf_counter() - start
 
@@ -339,8 +348,8 @@ def test_bank_scan_9_sites_200_samples(benchmark, mode):
             )
     else:
         def evaluate():
-            return bank.scan_loop(
-                SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
+            return scan_loop(
+                bank, SCAN_TEMPS, technologies=population, calibrate_at=(-50.0, 150.0)
             )
     scan = benchmark.pedantic(evaluate, rounds=1, iterations=1)
     assert scan.codes.shape == (9, 200)
@@ -570,9 +579,8 @@ def test_dtm_study_wall_clock(benchmark):
 @pytest.mark.benchmark(group="engine-calibration-study")
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
 def test_calibration_study_batched(benchmark, vectorized):
-    engine = BatchEvaluator(vectorized=vectorized)
     result = benchmark.pedantic(
-        engine.run_calibration_study,
+        run_calibration_study if vectorized else run_calibration_study_scalar,
         kwargs=dict(monte_carlo_samples=12),
         rounds=2,
         iterations=1,
@@ -583,9 +591,8 @@ def test_calibration_study_batched(benchmark, vectorized):
 @pytest.mark.benchmark(group="engine-fig2-sweep")
 @pytest.mark.parametrize("vectorized", [True, False], ids=["vectorized", "scalar"])
 def test_sizing_sweep_dense_grid(benchmark, vectorized, tech):
-    engine = BatchEvaluator(vectorized=vectorized)
     result = benchmark.pedantic(
-        engine.sweep_width_ratio,
+        sweep_width_ratio if vectorized else sweep_width_ratio_scalar,
         args=(tech,),
         kwargs=dict(temperatures_c=DENSE_GRID),
         rounds=3,

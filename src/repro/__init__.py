@@ -36,8 +36,8 @@ Subpackages
 ``repro.optimize``
     Transistor-sizing sweep and cell-mix search.
 ``repro.engine``
-    Vectorized batch evaluation of rings, sensors and Monte-Carlo
-    populations.
+    The declarative sweep API: named axes over rings, sensors and
+    Monte-Carlo populations, evaluated as one broadcast (or in tiles).
 ``repro.serve``
     The engine as a persistent network service: NDJSON over asyncio
     TCP, content-addressed result caching, micro-batched point
@@ -112,21 +112,22 @@ Re-registering a node under the same name therefore changes every
 cache key that mentions it — stale cached results cannot be served
 across re-registrations, in memory or from a shared disk cache.
 
-:class:`repro.engine.BatchEvaluator` remains as a thin
-backward-compatible adapter over the sweep API:
+Each workload function is written on the sweep API and has exactly
+one evaluation path — the Monte-Carlo study below is one
+``sample x temperature`` sweep:
 
->>> from repro import BatchEvaluator, RingConfiguration
->>> engine = BatchEvaluator()
->>> study = engine.run_monte_carlo(
+>>> from repro.analysis import run_monte_carlo
+>>> study = run_monte_carlo(
 ...     CMOS035, RingConfiguration.parse("2INV+3NAND2"), sample_count=25)
 >>> study.sample_count
 25
 
-The scalar loops are retained as the reference oracle:
-``BatchEvaluator(vectorized=False)`` reproduces them step for step,
-and ``tests/test_engine_equivalence.py`` /
-``tests/test_stacked_equivalence.py`` / ``tests/test_sweep_api.py``
-pin the broadcast paths to them at a relative tolerance of 1e-9 on
+The one-temperature-at-a-time loops the broadcast paths replaced are
+not part of the package.  They live in the test suite as reference
+oracles (``tests/oracles/``), and the equivalence suites
+(``tests/test_engine_equivalence.py``,
+``tests/test_stacked_equivalence.py``, ``tests/test_sweep_api.py``)
+pin every broadcast path to them at a relative tolerance of 1e-9 on
 periods.
 
 Environment knobs
@@ -195,7 +196,6 @@ from .oscillator import (
 from .analysis import nonlinearity, sensitivity_report
 from .engine import (
     Axis,
-    BatchEvaluator,
     HistogramReducer,
     MeanReducer,
     MemmapExecutor,
@@ -247,7 +247,6 @@ __all__ = [
     "nonlinearity",
     "sensitivity_report",
     "Axis",
-    "BatchEvaluator",
     "HistogramReducer",
     "MeanReducer",
     "MemmapExecutor",

@@ -230,33 +230,17 @@ class SmartTemperatureSensor:
     def transfer_function(
         self,
         temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
     ) -> SensorTransferFunction:
         """Digital code over a temperature sweep (quantisation included).
 
-        The sweep runs through the vectorized batch path by default: one
-        vectorized period evaluation of the ring plus one batch counter
-        conversion.  ``scalar=True`` keeps the original
-        one-temperature-at-a-time loop as the reference oracle for the
-        engine equivalence tests.
+        One vectorized period evaluation of the ring plus one batch
+        counter conversion.
         """
         temps = (
             np.asarray(temperatures_c, dtype=float)
             if temperatures_c is not None
             else default_temperature_grid(points=21)
         )
-        if scalar:
-            codes = []
-            measured_periods = []
-            for temp in temps:
-                reading = self.counter.convert(self.ring.period(float(temp)))
-                codes.append(float(reading.code))
-                measured_periods.append(self.counter.code_to_period(reading.code))
-            return SensorTransferFunction(
-                temperatures_c=temps,
-                codes=np.asarray(codes),
-                measured_periods_s=np.asarray(measured_periods),
-            )
         periods = self.ring.period_series(temps)
         codes, _saturated = self.counter.convert_batch(periods)
         measured_periods = self.counter.codes_to_periods(codes)
@@ -285,9 +269,9 @@ class SmartTemperatureSensor:
         """Vectorized :meth:`measured_period` over a temperature grid.
 
         One vectorized ring evaluation plus one batch counter
-        conversion replaces the one-temperature-at-a-time loop; the
-        quantised codes (and therefore the reconstructed periods) are
-        identical to the scalar path element for element.
+        conversion; the quantised codes (and therefore the
+        reconstructed periods) are identical to :meth:`measured_period`
+        element for element.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         periods = self.ring.period_series(temps)
@@ -342,15 +326,11 @@ class SmartTemperatureSensor:
     def measurement_errors(
         self,
         temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
     ) -> np.ndarray:
         """Calibrated measurement error (deg C) over a temperature sweep.
 
-        The sweep runs through the vectorized batch path by default
-        (one ring evaluation, one batch conversion, one elementwise
-        calibration map).  ``scalar=True`` keeps the original
-        one-temperature-at-a-time loop as the reference oracle for the
-        engine equivalence tests.
+        One ring evaluation, one batch conversion and one elementwise
+        calibration map over the whole grid.
         """
         if self.calibration is None:
             raise TechnologyError("calibrate the sensor before computing errors")
@@ -359,12 +339,6 @@ class SmartTemperatureSensor:
             if temperatures_c is not None
             else default_temperature_grid(points=21)
         )
-        if scalar:
-            errors = []
-            for temp in temps:
-                estimate = float(self.calibration.temperature(self.measured_period(float(temp))))
-                errors.append(estimate - float(temp))
-            return np.asarray(errors)
         estimates = np.asarray(
             self.calibration.temperature(self.measured_periods(temps)), dtype=float
         )
@@ -373,10 +347,9 @@ class SmartTemperatureSensor:
     def worst_case_error_c(
         self,
         temperatures_c: Optional[Sequence[float]] = None,
-        scalar: bool = False,
     ) -> float:
         """Worst-case |measurement error| over the sweep."""
-        return float(np.max(np.abs(self.measurement_errors(temperatures_c, scalar=scalar))))
+        return float(np.max(np.abs(self.measurement_errors(temperatures_c))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -1,14 +1,13 @@
-"""Batch evaluation: the declarative sweep API and its compat façade.
+"""Batch evaluation: the declarative sweep API and its backends.
 
-:mod:`repro.engine.sweep` is the engine proper — named-axis workloads
+:mod:`repro.engine.sweep` is the engine — named-axis workloads
 (:class:`Sweep` / :class:`Axis`) lowered onto numpy broadcast
 dimensions in canonical order, returning labeled
-:class:`SweepResult` tensors.  :class:`BatchEvaluator`
-(:mod:`repro.engine.batch`) remains as a thin backward-compatible
-adapter over it.
+:class:`SweepResult` tensors.  :mod:`repro.engine.executors` and
+:mod:`repro.engine.tiling` run large plans in bounded-memory tiles,
+and :mod:`repro.engine.reducers` stream statistics over them.
 """
 
-from .batch import BatchEvaluator
 from .executors import (
     Executor,
     MemmapExecutor,
@@ -31,7 +30,6 @@ from .tiling import Tile, TilingPlan, plan_result_tiles, plan_tiles, subplan
 
 __all__ = [
     "Axis",
-    "BatchEvaluator",
     "CANONICAL_AXIS_ORDER",
     "Executor",
     "HistogramReducer",

@@ -47,6 +47,7 @@ import os
 import tempfile
 from concurrent.futures import ProcessPoolExecutor as _PoolImpl
 from concurrent.futures import as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
@@ -363,6 +364,13 @@ class ProcessExecutor(Executor):
         for future in [pool.submit(_noop) for _ in range(self.max_workers)]:
             future.result()
 
+    def _evict(self, pool: _PoolImpl) -> None:
+        """Drop a broken pool from the reuse cache (if it is still there)."""
+        key = (self.start_method, self.max_workers)
+        if _POOLS.get(key) is pool:
+            del _POOLS[key]
+        pool.shutdown(wait=False, cancel_futures=True)
+
     def run_tiles(self, tiling: TilingPlan) -> Iterator[Tuple[Tile, np.ndarray]]:
         skeleton, shm, meta = _export_population(tiling.plan)
         pool = self._pool()
@@ -375,10 +383,16 @@ class ProcessExecutor(Executor):
             except Exception:
                 # A broken reused pool (e.g. a worker killed by a
                 # previous run) must not poison every later sweep.
-                _POOLS.pop((self.start_method, self.max_workers), None)
+                self._evict(pool)
                 raise
-            for future in as_completed(futures):
-                yield futures[future], future.result()
+            try:
+                for future in as_completed(futures):
+                    yield futures[future], future.result()
+            except BrokenProcessPool:
+                # A worker died mid-sweep: this sweep fails, the next
+                # one gets a fresh pool.
+                self._evict(pool)
+                raise
         finally:
             if not self.reuse:
                 pool.shutdown(wait=True, cancel_futures=True)

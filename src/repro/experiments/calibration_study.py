@@ -18,11 +18,7 @@ import numpy as np
 
 from ..analysis.statistics import SummaryStatistics, summarize
 from ..cells.library import default_library
-from ..core.calibration import (
-    CalibrationError,
-    design_calibration,
-    one_point_calibration,
-)
+from ..core.calibration import CalibrationError, design_calibration
 from ..core.readout import PeriodCounter, ReadoutConfig
 from ..core.sensor import SmartTemperatureSensor
 from ..oscillator.config import RingConfiguration
@@ -76,18 +72,16 @@ def run_calibration_study(
     temperatures_c: Optional[Sequence[float]] = None,
     reference_temperature_c: float = 25.0,
     seed: int = 20250617,
-    scalar: bool = False,
 ) -> CalibrationStudyResult:
     """Run the calibration-scheme ablation.
 
-    On the default (vectorized) path the whole corner + Monte-Carlo
-    population is stacked into one struct-of-arrays technology
+    The whole corner + Monte-Carlo population is stacked into one
+    struct-of-arrays technology
     (:func:`~repro.tech.stacked.stack_technologies`) and every scheme's
     error grid — design, one-point, two-point, each over all samples
     and all temperatures — is computed from a single
     ``(sample x temperature)`` period matrix plus one batch counter
-    conversion.  ``scalar=True`` keeps the original
-    one-sensor-per-sample loop as the equivalence oracle.
+    conversion.
 
     Parameters
     ----------
@@ -107,9 +101,6 @@ def run_calibration_study(
         Insertion temperature of the one-point calibration.
     seed:
         RNG seed for the Monte-Carlo sampling.
-    scalar:
-        When true, sweep every sample through its own sensor object one
-        temperature at a time (the pre-engine reference path).
     """
     tech = technology if technology is not None else CMOS035
     temps = (
@@ -122,7 +113,7 @@ def run_calibration_study(
     # Design-time (typical-process) transfer function: the shared slope
     # source for the design and one-point schemes.
     typical_sensor = _sensor_for(tech, configuration, readout)
-    design_transfer = typical_sensor.transfer_function(temps, scalar=scalar)
+    design_transfer = typical_sensor.transfer_function(temps)
     design_cal = design_calibration(
         design_transfer.measured_periods_s, design_transfer.temperatures_c
     )
@@ -130,40 +121,15 @@ def run_calibration_study(
     samples: List[Technology] = list(corner_technologies(tech).values())
     samples.extend(sample_technologies(tech, monte_carlo_samples, seed=seed))
 
-    if scalar:
-        worst_errors: Dict[str, List[float]] = {
-            "design": [], "one-point": [], "two-point": []
-        }
-        for sample in samples:
-            sensor = _sensor_for(sample, configuration, readout)
-
-            sensor.install_calibration(design_cal)
-            worst_errors["design"].append(sensor.worst_case_error_c(temps, scalar=True))
-
-            one_point = one_point_calibration(
-                sensor.measured_period(reference_temperature_c),
-                reference_temperature_c,
-                design_cal.slope_c_per_second,
-            )
-            sensor.install_calibration(one_point)
-            worst_errors["one-point"].append(
-                sensor.worst_case_error_c(temps, scalar=True)
-            )
-
-            sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
-            worst_errors["two-point"].append(
-                sensor.worst_case_error_c(temps, scalar=True)
-            )
-    else:
-        worst_errors = _batched_worst_errors(
-            tech,
-            configuration,
-            readout,
-            samples,
-            temps,
-            reference_temperature_c,
-            design_cal,
-        )
+    worst_errors = _batched_worst_errors(
+        tech,
+        configuration,
+        readout,
+        samples,
+        temps,
+        reference_temperature_c,
+        design_cal,
+    )
 
     return CalibrationStudyResult(
         technology_name=tech.name,
@@ -247,7 +213,7 @@ def _batched_worst_errors(
     low_measured = measured[:, 0]
     high_measured = measured[:, -1]
     if np.any(high_measured == low_measured):
-        # Same guard the per-sample oracle hits in two_point_calibration
+        # Same guard a per-sample two_point_calibration hits
         # when both insertion periods quantise to one counter code.
         raise CalibrationError("calibration periods must differ")
     two_point_slopes = (temps[-1] - temps[0]) / (high_measured - low_measured)

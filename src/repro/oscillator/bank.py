@@ -23,11 +23,11 @@ broadcast:
   temperatures.
 
 The per-configuration loop (one
-:meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring) is
-retained as :meth:`ConfigurationBank.period_tensor_loop`, the oracle the
-equivalence tests pin the stacked path against (relative tolerance
-1e-9; in practice the two orderings of the same arithmetic agree to a
-few ULP).
+:meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring),
+:meth:`ConfigurationBank.period_tensor_loop`, evaluates populations
+that cannot be stacked; the equivalence tests also pin the stacked path
+to it (relative tolerance 1e-9; in practice the two orderings of the
+same arithmetic agree to a few ULP).
 """
 
 from __future__ import annotations
@@ -276,10 +276,9 @@ class ConfigurationBank:
         Evaluates one ring at a time through the existing stacked delay
         path (:meth:`~repro.oscillator.ring.RingOscillator.period_series`
         / :meth:`~repro.oscillator.ring.RingOscillator.period_matrix`).
-        This was the only way to sweep the configuration axis before the
-        bank existed; it is retained as the oracle the configuration-axis
-        equivalence tests (and benchmarks) compare the single-broadcast
-        tensor against.
+        It is the only path for populations that cannot be stacked
+        (mixed geometry); the configuration-axis equivalence tests (and
+        benchmarks) also compare the single-broadcast tensor against it.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         if technologies is None:

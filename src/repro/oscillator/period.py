@@ -170,9 +170,11 @@ class TemperatureResponse:
 def analytical_response(
     ring: RingOscillator,
     temperatures_c: Optional[Sequence[float]] = None,
-    scalar: bool = False,
 ) -> TemperatureResponse:
     """Temperature response computed with the analytical delay model.
+
+    One vectorized stage-sum over the grid
+    (:meth:`~repro.oscillator.ring.RingOscillator.period_series`).
 
     Parameters
     ----------
@@ -180,19 +182,13 @@ def analytical_response(
         The ring oscillator to sweep.
     temperatures_c:
         Sweep grid (the paper's -50..150 range by default).
-    scalar:
-        When true, evaluate one temperature at a time through the
-        scalar reference path instead of the vectorized stage-sum —
-        the oracle the batch engine's equivalence tests compare
-        against.
     """
     temps = (
         np.asarray(temperatures_c, dtype=float)
         if temperatures_c is not None
         else default_temperature_grid()
     )
-    periods = ring.period_series_scalar(temps) if scalar else ring.period_series(temps)
-    return TemperatureResponse(ring.label(), temps, periods)
+    return TemperatureResponse(ring.label(), temps, ring.period_series(temps))
 
 
 def simulated_response(

@@ -176,8 +176,7 @@ class RingOscillator:
         Each stage's delay contribution is evaluated once for the whole
         temperature grid and accumulated — a single vectorized stage-sum
         instead of a Python loop over temperatures.  Matches
-        :meth:`period_series_scalar` (and therefore :meth:`period`) to
-        floating-point rounding.
+        :meth:`period` at every grid point to floating-point rounding.
 
         For a ring bound to a stacked population
         (:class:`~repro.tech.stacked.TechnologyArray`, see
@@ -190,15 +189,6 @@ class RingOscillator:
         for stage in self.stages():
             total = total + stage.cell.stage_delay_sum(temps, stage.load_f)
         return total
-
-    def period_series_scalar(self, temperatures_c: Sequence[float]) -> np.ndarray:
-        """Periods (s) over a temperature sweep, one scalar call per point.
-
-        The pre-vectorization reference path, kept as the oracle the
-        equivalence tests (and :class:`repro.engine.BatchEvaluator` in
-        scalar mode) compare the batch engine against.
-        """
-        return np.asarray([self.period(float(t)) for t in temperatures_c])
 
     def rebind(self, technology) -> "RingOscillator":
         """A copy of this ring implemented in another technology.
@@ -255,10 +245,9 @@ class RingOscillator:
         broadcast stage-sum — no per-sample rebind, no Python loop over
         samples.  Technology lists that cannot be stacked (samples
         disagreeing on the geometry scalars, e.g. when comparing
-        technology nodes) fall back to the per-sample loop, so any list
-        the pre-stacking path accepted still evaluates.
-        :meth:`period_matrix_loop` keeps the per-sample path as the
-        equivalence oracle.
+        technology nodes) evaluate through :meth:`period_matrix_loop`
+        instead, so any list the pre-stacking path accepted still
+        evaluates.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         if isinstance(technologies, TechnologyArray):
@@ -279,10 +268,10 @@ class RingOscillator:
         """Per-sample reference path of :meth:`period_matrix`.
 
         Re-binds the ring to each technology in turn and evaluates the
-        vectorized temperature axis once per sample.  This was the
-        default before the stacked sample axis existed; it is retained
-        as the oracle the stacked-equivalence tests (and the scalar
-        engine mode) compare against.
+        vectorized temperature axis once per sample.  It is the only
+        path for populations that cannot be stacked (mixed geometry,
+        e.g. different technology nodes); the stacked-equivalence tests
+        also pin :meth:`period_matrix` to it.
         """
         temps = np.asarray(temperatures_c, dtype=float)
         if isinstance(technologies, TechnologyArray):

@@ -109,7 +109,11 @@ class DiskCache:
     def get(
         self, key: str, tech_digest: Optional[str] = None
     ) -> Optional[Tuple[Dict[str, Any], int]]:
-        """The ``(payload, stored_size)`` stored for ``key``, or None.
+        """The ``(payload, encoded_size)`` stored for ``key``, or None.
+
+        ``encoded_size`` is the length of the result bytes
+        :meth:`put` spliced into the envelope — the same size a fresh
+        :meth:`ResultCache.put` is charged, not the envelope's.
 
         ``tech_digest`` is the technology digest of the *requesting*
         spec (None for a spec with no registered technology reference);
@@ -142,6 +146,9 @@ class DiskCache:
             payload = envelope["result"]
             if not _looks_like_result(payload):
                 raise ValueError("not a serialized sweep result")
+            prefix = _envelope_prefix(tech_digest)
+            if not (raw.startswith(prefix) and raw.endswith(b"}")):
+                raise ValueError("envelope not written by DiskCache.put")
         except FileNotFoundError:
             with self._lock:
                 self._misses += 1
@@ -163,7 +170,7 @@ class DiskCache:
             pass
         with self._lock:
             self._hits += 1
-        return payload, len(raw)
+        return payload, len(raw) - len(prefix) - 1
 
     def put(
         self, key: str, encoded: bytes, tech_digest: Optional[str] = None
@@ -183,10 +190,7 @@ class DiskCache:
             with self._lock:
                 self._rejected += 1
             return False
-        stamped = (
-            b'{"spec_version":%d,"tech_digest":%s,"result":'
-            % (Sweep.SCHEMA_VERSION, json.dumps(tech_digest).encode("utf-8"))
-        ) + encoded + b"}"
+        stamped = _envelope_prefix(tech_digest) + encoded + b"}"
         path = self._path(key)
         tmp = f"{path}.tmp.{os.getpid()}"
         try:
@@ -265,6 +269,14 @@ class DiskCache:
         return f"DiskCache({self.directory!r}, max_bytes={self.max_bytes})"
 
 
+def _envelope_prefix(tech_digest: Optional[str]) -> bytes:
+    """The stamped envelope's bytes up to its spliced-in result."""
+    return b'{"spec_version":%d,"tech_digest":%s,"result":' % (
+        Sweep.SCHEMA_VERSION,
+        json.dumps(tech_digest).encode("utf-8"),
+    )
+
+
 def _looks_like_result(payload: Any) -> bool:
     """Cheap structural validation of a decoded disk entry."""
     return (
@@ -304,8 +316,11 @@ class ResultCache:
         self._misses = 0
         self._evictions = 0
 
-    def get(self, key: str, tech_digest: Optional[str] = None) -> Optional[Any]:
-        """The cached payload for ``key`` (refreshing its recency), or None.
+    def get(
+        self, key: str, tech_digest: Optional[str] = None
+    ) -> Optional[Tuple[Any, int]]:
+        """``(payload, encoded_size)`` for ``key`` (refreshing its
+        recency), or None.
 
         Memory first; on a memory miss the disk tier (when attached) is
         consulted — passing ``tech_digest``, the requesting spec's
@@ -318,16 +333,14 @@ class ResultCache:
             if entry is not None:
                 self._entries.move_to_end(key)
                 self._hits += 1
-                return entry[0]
+                return entry
             self._misses += 1
         if self.disk is None:
             return None
         persisted = self.disk.get(key, tech_digest)
-        if persisted is None:
-            return None
-        payload, size = persisted
-        self._admit(key, payload, size)
-        return payload
+        if persisted is not None:
+            self._admit(key, *persisted)
+        return persisted
 
     def put(
         self,

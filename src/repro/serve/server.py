@@ -511,7 +511,8 @@ class SweepServer:
         tech_digest = _tech_digest_of(canonical)
         cached = self.cache.get(key, tech_digest)
         if cached is not None:
-            return cached, len(_encode_result(cached)), True
+            payload, size = cached
+            return payload, size, True
         waiter = self._inflight.get(key)
         if waiter is not None:
             payload, size = await asyncio.shield(waiter)
@@ -762,9 +763,9 @@ class SweepServer:
         tech_digest = _tech_digest_of(full)
         cached = self.cache.get(full_key, tech_digest)
         if cached is not None:
+            payload, size = cached
             await self._respond_result(
-                writer, "point", request_id, full_key, cached,
-                len(_encode_result(cached)), True,
+                writer, "point", request_id, full_key, payload, size, True
             )
             return
         result = await self.batcher.submit(

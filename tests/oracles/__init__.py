@@ -1,0 +1,59 @@
+"""Reference oracles: the loops the broadcast evaluation paths replaced.
+
+Every workload in :mod:`repro` has one evaluation path, written on the
+sweep API (or on a stacked broadcast underneath it).  The loops that
+path replaced live here, outside the package, as the references the
+equivalence suites and the engine benchmarks compare against:
+
+* :mod:`.rings` — one :meth:`~repro.oscillator.RingOscillator.period`
+  call per temperature (and one ring rebind per technology sample),
+  plus the studies built on it: Monte-Carlo, the Fig. 2 sizing sweep,
+  the Fig. 3 cell-mix candidate, the supply finite difference and the
+  per-node scaling study;
+* :mod:`.sensors` — one counter conversion per temperature, one smart
+  sensor per bank site, the multiplexer scan and the per-sample
+  calibration study;
+* :mod:`.thermal` — one steady-state solve per self-heating duty cycle.
+
+Each oracle returns the same result type as the function it pins, so a
+test compares the two field by field.
+"""
+
+from .rings import (
+    analytical_response_scalar,
+    evaluate_configuration_scalar,
+    period_matrix_scalar,
+    period_series_scalar,
+    run_monte_carlo_scalar,
+    run_scaling_study_loop,
+    supply_sensitivity_scalar,
+    sweep_width_ratio_scalar,
+)
+from .sensors import (
+    measurement_errors_scalar,
+    monitor_scan_scalar,
+    run_calibration_study_scalar,
+    scan_loop,
+    transfer_function_scalar,
+    worst_case_error_c_scalar,
+)
+from .thermal import duty_cycle_study_scalar, run_selfheating_study_scalar
+
+__all__ = [
+    "analytical_response_scalar",
+    "duty_cycle_study_scalar",
+    "evaluate_configuration_scalar",
+    "measurement_errors_scalar",
+    "monitor_scan_scalar",
+    "period_matrix_scalar",
+    "period_series_scalar",
+    "run_calibration_study_scalar",
+    "run_monte_carlo_scalar",
+    "run_scaling_study_loop",
+    "run_selfheating_study_scalar",
+    "scan_loop",
+    "supply_sensitivity_scalar",
+    "sweep_width_ratio_scalar",
+    "transfer_function_scalar",
+    "worst_case_error_c_scalar",
+]

@@ -11,6 +11,7 @@ from repro.experiments import (
     run_thermal_map_study,
 )
 from repro.tech import CMOS013, CMOS035
+from tests.oracles import run_scaling_study_loop
 
 
 class TestSupplySensitivityExperiment:
@@ -77,12 +78,9 @@ class TestScalingStudyExperiment:
 
     def test_technology_axis_matches_per_node_loop(self, result):
         # The study's node loop is declared through the engine's
-        # ``technology`` axis; the retained hand-written loop is its
+        # ``technology`` axis; the hand-written per-node loop is its
         # oracle, and every reported figure must agree bitwise.
-        oracle = run_scaling_study(
-            temperatures_c=np.linspace(-50.0, 150.0, 9),
-            use_technology_axis=False,
-        )
+        oracle = run_scaling_study_loop(temperatures_c=np.linspace(-50.0, 150.0, 9))
         assert oracle.points == result.points
         assert oracle.format_table() == result.format_table()
 

@@ -1,0 +1,67 @@
+"""Regression guard: every public capability has one evaluation path.
+
+The loops the broadcast paths replaced are reference oracles in
+``tests/oracles/``; no public function or method of :mod:`repro` may
+grow a switch back to them.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+
+import repro
+import repro.engine
+
+#: Parameter names that select an evaluation mode instead of an input.
+MODE_SWITCHES = {"scalar", "vectorized", "evaluator", "use_technology_axis"}
+
+
+def _public_modules():
+    for info in pkgutil.walk_packages(repro.__path__, prefix="repro."):
+        parts = info.name.split(".")
+        if any(part.startswith("_") for part in parts):
+            continue  # private modules and ``__main__`` entry points
+        yield importlib.import_module(info.name)
+
+
+def _public_callables():
+    seen = set()
+    for module in [repro, *_public_modules()]:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    if attr.startswith("_") and attr != "__init__":
+                        continue
+                    function = getattr(member, "__func__", member)
+                    if callable(function) and id(function) not in seen:
+                        seen.add(id(function))
+                        yield f"{module.__name__}.{name}.{attr}", function
+            elif callable(obj) and id(obj) not in seen:
+                seen.add(id(obj))
+                yield f"{module.__name__}.{name}", obj
+
+
+def test_no_public_callable_takes_an_evaluation_mode_switch():
+    offenders = []
+    checked = 0
+    for qualname, function in _public_callables():
+        try:
+            parameters = inspect.signature(function).parameters
+        except (TypeError, ValueError):
+            continue
+        checked += 1
+        switches = MODE_SWITCHES.intersection(parameters)
+        if switches:
+            offenders.append(f"{qualname}({', '.join(sorted(switches))})")
+    assert checked > 300  # the walk really reached the package's API
+    assert offenders == []
+
+
+@pytest.mark.parametrize("package", [repro, repro.engine], ids=lambda p: p.__name__)
+def test_batch_evaluator_is_not_exported(package):
+    assert "BatchEvaluator" not in package.__all__
+    assert not hasattr(package, "BatchEvaluator")

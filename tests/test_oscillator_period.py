@@ -11,6 +11,7 @@ from repro.oscillator import (
     validate_temperature_grid,
 )
 from repro.tech import TechnologyError
+from tests.oracles import analytical_response_scalar
 
 
 class TestGrids:
@@ -141,7 +142,7 @@ class TestAnalyticalResponse:
         assert response.label == "5INV"
 
     def test_scalar_flag_uses_reference_path(self, inverter_ring, paper_temperatures):
-        scalar = analytical_response(inverter_ring, paper_temperatures, scalar=True)
+        scalar = analytical_response_scalar(inverter_ring, paper_temperatures)
         vectorized = analytical_response(inverter_ring, paper_temperatures)
         assert np.allclose(scalar.periods_s, vectorized.periods_s, rtol=1e-9)
 

@@ -477,6 +477,29 @@ def test_disk_entry_with_foreign_tech_digest_is_never_served(tmp_path):
     assert stats["entries"] == 0
 
 
+def test_disk_promotion_charges_the_same_size_as_a_fresh_put(tmp_path):
+    # A disk hit promoted into memory must be charged the encoded
+    # result's size — the stamped envelope around it is not part of the
+    # payload — so the memory budget and the stream/line decision treat
+    # it exactly like a freshly evaluated entry.
+    from repro.serve.cache import DiskCache, ResultCache
+
+    sweep = small_sweep()
+    payload = sweep.run().to_dict()
+    encoded = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    key = canonical_key(sweep)
+    digest = get_technology_digest("cmos035")
+    disk = DiskCache(str(tmp_path / "disk"))
+
+    fresh = ResultCache(disk=disk)
+    assert fresh.put(key, payload, len(encoded), encoded=encoded, tech_digest=digest)
+    assert fresh.get(key, digest) == (payload, len(encoded))
+
+    promoted = ResultCache(disk=disk)  # a restarted server: memory tier empty
+    assert promoted.get(key, digest) == (payload, len(encoded))
+    assert promoted.stats()["bytes"] == fresh.stats()["bytes"] == len(encoded)
+
+
 def test_foreign_garbage_in_cache_dir_is_never_served(tmp_path):
     cache_dir = str(tmp_path / "serve-cache")
     os.makedirs(cache_dir)

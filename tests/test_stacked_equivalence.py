@@ -7,7 +7,8 @@ technology populations (:mod:`repro.tech.stacked`): the stacked
 (:meth:`~repro.oscillator.ring.RingOscillator.period_matrix_loop`), the
 vectorized Monte-Carlo sampler against the looped one, and the batched
 calibration / supply / self-heating studies against their per-sample
-scalar paths — to the same 1e-9 relative contract on periods.
+scalar oracles (``tests/oracles/``) — to the same 1e-9 relative
+contract on periods.
 """
 
 import numpy as np
@@ -24,7 +25,6 @@ from repro.core.calibration import (
     PolynomialCalibration,
     fit_polynomial_calibration,
 )
-from repro.engine import BatchEvaluator
 from repro.experiments.calibration_study import run_calibration_study
 from repro.experiments.selfheating_study import run_selfheating_study
 from repro.oscillator import RingConfiguration, RingOscillator
@@ -35,6 +35,16 @@ from repro.tech import (
     sample_technologies,
     sample_technology_array,
     stack_technologies,
+)
+from tests.oracles import (
+    measurement_errors_scalar,
+    period_matrix_scalar,
+    period_series_scalar,
+    run_calibration_study_scalar,
+    run_monte_carlo_scalar,
+    run_selfheating_study_scalar,
+    supply_sensitivity_scalar,
+    worst_case_error_c_scalar,
 )
 
 #: The acceptance bound on stacked-vs-looped relative period error.
@@ -178,26 +188,19 @@ def test_stacked_ring_period_series_matches_per_sample_scalar():
     technologies = sample_technologies(CMOS035, 3, seed=11)
     stacked = ring.rebind(stack_technologies(technologies)).period_series(temps)
     for row, tech in enumerate(technologies):
-        scalar = ring.rebind(tech).period_series_scalar(temps)
+        scalar = period_series_scalar(ring.rebind(tech), temps)
         assert relative_error(stacked[row], scalar) <= RTOL
 
 
 def test_engine_scalar_mode_still_loops_per_sample(inverter_ring):
     temps = np.linspace(-50.0, 150.0, 9)
     technologies = sample_technologies(CMOS035, 3, seed=2)
-    vectorized = BatchEvaluator().period_matrix(inverter_ring, technologies, temps)
-    scalar = BatchEvaluator(vectorized=False).period_matrix(
-        inverter_ring, technologies, temps
-    )
+    vectorized = inverter_ring.period_matrix(technologies, temps)
+    scalar = period_matrix_scalar(inverter_ring, technologies, temps)
     assert relative_error(vectorized, scalar) <= RTOL
-    # Scalar mode must also accept a stacked population (unstacking it).
+    # The scalar oracle must also accept a stacked population (unstacking it).
     population = stack_technologies(technologies)
-    assert np.array_equal(
-        BatchEvaluator(vectorized=False).period_matrix(
-            inverter_ring, population, temps
-        ),
-        scalar,
-    )
+    assert np.array_equal(period_matrix_scalar(inverter_ring, population, temps), scalar)
 
 
 def test_stacked_cells_refuse_netlists_and_characterisation():
@@ -220,7 +223,7 @@ def test_stacked_cells_refuse_netlists_and_characterisation():
 
 def test_calibration_study_batched_matches_scalar_loop():
     vectorized = run_calibration_study(monte_carlo_samples=6, seed=99)
-    scalar = run_calibration_study(monte_carlo_samples=6, seed=99, scalar=True)
+    scalar = run_calibration_study_scalar(monte_carlo_samples=6, seed=99)
     assert vectorized.sample_count == scalar.sample_count == 11
     for scheme in ("design", "one-point", "two-point"):
         vec_stats = vectorized.errors_by_scheme[scheme]
@@ -236,7 +239,7 @@ def test_calibration_study_batched_matches_scalar_loop():
 def test_calibration_study_degenerate_sweep_raises_like_oracle():
     # A sweep so narrow (or a counter so coarse) that both endpoint
     # periods quantise to one code must raise the oracle's
-    # CalibrationError in both modes, not divide by zero.
+    # CalibrationError on both paths, not divide by zero.
     narrow = np.linspace(25.0, 26.0, 4)
     coarse = ReadoutConfig(window_cycles=2)
     with pytest.raises(CalibrationError, match="periods must differ"):
@@ -244,9 +247,8 @@ def test_calibration_study_degenerate_sweep_raises_like_oracle():
             monte_carlo_samples=3, temperatures_c=narrow, readout=coarse
         )
     with pytest.raises(CalibrationError, match="periods must differ"):
-        run_calibration_study(
-            monte_carlo_samples=3, temperatures_c=narrow, readout=coarse,
-            scalar=True,
+        run_calibration_study_scalar(
+            monte_carlo_samples=3, temperatures_c=narrow, readout=coarse
         )
 
 
@@ -266,21 +268,10 @@ def test_period_matrix_mixed_geometry_falls_back_to_loop():
     assert relative_error(matrix, ring.period_matrix_loop(mixed, temps)) <= RTOL
 
 
-def test_calibration_study_through_engine_matches_direct_call():
-    from_engine = BatchEvaluator().run_calibration_study(
-        monte_carlo_samples=4, seed=5
-    )
-    direct = run_calibration_study(monte_carlo_samples=4, seed=5)
-    for scheme in ("design", "one-point", "two-point"):
-        assert from_engine.worst_by_scheme[scheme] == pytest.approx(
-            direct.worst_by_scheme[scheme], rel=RTOL
-        )
-
-
 def test_supply_sensitivity_stacked_matches_rebuild_loop():
     configuration = RingConfiguration.parse("2INV+3NAND2")
     vectorized = supply_sensitivity(CMOS035, configuration)
-    scalar = supply_sensitivity(CMOS035, configuration, scalar=True)
+    scalar = supply_sensitivity_scalar(CMOS035, configuration)
     assert vectorized.period_per_volt_s == pytest.approx(
         scalar.period_per_volt_s, rel=RTOL
     )
@@ -301,15 +292,15 @@ def test_supply_sensitivity_custom_builder_uses_reference_path():
 
     configuration = RingConfiguration.uniform("INV", 5)
     report = supply_sensitivity(CMOS035, configuration, library_builder=builder)
-    # The rebuild-per-operating-point oracle builds one library per
-    # supply/temperature evaluation (custom builders may depend on Vdd).
+    # A custom builder is called once per supply/temperature
+    # evaluation (its cells may depend on Vdd).
     assert len(calls) == 4
     assert report.period_per_kelvin_s > 0.0
 
 
 def test_selfheating_two_solve_path_matches_per_duty_solves():
     vectorized = run_selfheating_study(grid_resolution=12)
-    scalar = run_selfheating_study(grid_resolution=12, scalar=True)
+    scalar = run_selfheating_study_scalar(grid_resolution=12)
     assert vectorized.oscillator_power_w == pytest.approx(
         scalar.oscillator_power_w, rel=RTOL
     )
@@ -344,10 +335,10 @@ def test_measurement_errors_vectorized_matches_scalar(temps):
     )
     sensor.calibrate_two_point(float(temps[0]), float(temps[-1]))
     vectorized = sensor.measurement_errors(temps)
-    scalar = sensor.measurement_errors(temps, scalar=True)
+    scalar = measurement_errors_scalar(sensor, temps)
     assert np.allclose(vectorized, scalar, rtol=0.0, atol=1e-9)
     assert sensor.worst_case_error_c(temps) == pytest.approx(
-        sensor.worst_case_error_c(temps, scalar=True), rel=RTOL, abs=1e-9
+        worst_case_error_c_scalar(sensor, temps), rel=RTOL, abs=1e-9
     )
 
 
@@ -439,12 +430,11 @@ class TestMonteCarloGridValidation:
             sample_count=8,
             seed=31,
         )
-        scalar = run_monte_carlo(
+        scalar = run_monte_carlo_scalar(
             CMOS035,
             RingConfiguration.parse("2INV+3NAND2"),
             sample_count=8,
             seed=31,
-            scalar=True,
         )
         for vec_response, ref_response in zip(
             vectorized.responses, scalar.responses

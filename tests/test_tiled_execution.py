@@ -13,6 +13,8 @@ environment knobs select a default backend without touching call sites.
 """
 
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -255,6 +257,32 @@ def test_process_backend_streams_out_of_order_assembly(dense_period):
         executor=ProcessExecutor(max_workers=2), max_tile_elements=17
     )
     assert_results_equal(tiled, dense_period)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/shm"), reason="needs POSIX shared memory")
+def test_killed_workers_fail_only_the_in_flight_sweep():
+    # Fault injection: SIGKILL every worker of the warm shared pool while
+    # a sweep streams its tiles.  That sweep fails; the next one must get
+    # a fresh pool and match the serial result bit for bit, and neither
+    # may leave a shared-memory segment behind.
+    shm_before = set(os.listdir("/dev/shm"))
+    sweep = sample_sweep(population=sample_technology_array(CMOS035, 2000, seed=5))
+    executor = ProcessExecutor(max_workers=2)
+    executor.prewarm()
+    workers = list(executor._pool()._processes)
+    in_flight = executor.run_tiles(plan_tiles(sweep.plan(), max_tile_elements=TEMPS.size))
+    next(in_flight)
+    for pid in workers:
+        os.kill(pid, signal.SIGKILL)
+    with pytest.raises(BrokenProcessPool):
+        for _ in in_flight:
+            pass
+
+    recovered = sweep.run(executor=ProcessExecutor(max_workers=2), max_tile_elements=997)
+    assert_results_equal(
+        recovered, sweep.run(executor=SerialExecutor(), max_tile_elements=997)
+    )
+    assert set(os.listdir("/dev/shm")) <= shm_before
 
 
 # --------------------------------------------------------------------------- #
