@@ -54,6 +54,7 @@ rebinding a scalar technology per sample, to 1e-9 relative agreement
 import os
 import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -75,7 +76,9 @@ from repro.oscillator import (
 from repro.tech import CMOS013, CMOS018, CMOS025, CMOS035, sample_technology_array
 from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
 from tests.oracles import (
+    configuration_period_tensor_loop,
     evaluate_configuration_scalar,
+    period_matrix_loop,
     run_calibration_study_scalar,
     run_monte_carlo_scalar,
     scan_loop,
@@ -189,7 +192,7 @@ def test_stacked_speedup_at_1000x41():
     )
 
     start = time.perf_counter()
-    looped = ring.period_matrix_loop(population, DENSE_GRID)
+    looped = period_matrix_loop(ring, population, DENSE_GRID)
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / stacked_s
@@ -208,7 +211,9 @@ def test_period_matrix_1000_samples(benchmark, mode):
     ring = RingOscillator(default_library(CMOS035), CONFIGURATION)
     population = sample_technology_array(CMOS035, 1000, seed=1234)
     evaluate = (
-        ring.period_matrix if mode == "stacked" else ring.period_matrix_loop
+        ring.period_matrix
+        if mode == "stacked"
+        else partial(period_matrix_loop, ring)
     )
     matrix = benchmark.pedantic(
         evaluate, args=(population, DENSE_GRID), rounds=2, iterations=1
@@ -231,7 +236,9 @@ def test_configuration_axis_speedup_at_fig3_scale():
     )
 
     start = time.perf_counter()
-    looped = bank.period_tensor_loop(DENSE_GRID, technologies=population)
+    looped = configuration_period_tensor_loop(
+        bank, DENSE_GRID, technologies=population
+    )
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / stacked_s
@@ -252,7 +259,9 @@ def test_configuration_bank_fig3_cross_product(benchmark, mode):
     bank = ConfigurationBank(default_library(CMOS035), PAPER_FIG3_CONFIGURATIONS)
     population = sample_technology_array(CMOS035, 1000, seed=1234)
     evaluate = (
-        bank.period_tensor if mode == "broadcast" else bank.period_tensor_loop
+        bank.period_tensor
+        if mode == "broadcast"
+        else partial(configuration_period_tensor_loop, bank)
     )
     tensor = benchmark.pedantic(
         evaluate,
@@ -1089,7 +1098,7 @@ def test_technology_axis_speedup_at_4x200x41():
     )
 
     start = time.perf_counter()
-    looped = [ring.period_matrix_loop(pop, DENSE_GRID) for ring, pop in workload]
+    looped = [period_matrix_loop(ring, pop, DENSE_GRID) for ring, pop in workload]
     looped_s = time.perf_counter() - start
 
     speedup = looped_s / banked_s
@@ -1114,7 +1123,7 @@ def test_technology_study_4_nodes(benchmark, mode):
     evaluate_one = (
         (lambda ring, pop: ring.period_matrix(pop, DENSE_GRID))
         if mode == "banked"
-        else (lambda ring, pop: ring.period_matrix_loop(pop, DENSE_GRID))
+        else (lambda ring, pop: period_matrix_loop(ring, pop, DENSE_GRID))
     )
     matrices = benchmark.pedantic(
         lambda: [evaluate_one(ring, pop) for ring, pop in workload],

@@ -17,12 +17,10 @@ This example
    ``Sweep`` and evaluates it as a single ``(C, S, T)`` broadcast
    through the stacked configuration bank
    (``repro.oscillator.ConfigurationBank``),
-2. times that broadcast against the retained per-configuration loop
-   (the oracle) and verifies the agreement,
-3. slices the labeled result by *name* — no dimension bookkeeping — to
+2. slices the labeled result by *name* — no dimension bookkeeping — to
    rank the configurations by their worst-case non-linearity spread
    across the population, and
-4. shows a second observable on the same axes: the worst-case
+3. shows a second observable on the same axes: the worst-case
    temperature error of an ideally two-point-calibrated sensor
    (``calibration_error_c``).
 
@@ -38,10 +36,8 @@ import numpy as np
 from repro import (
     Axis,
     CMOS035,
-    ConfigurationBank,
     PAPER_FIG3_CONFIGURATIONS,
     Sweep,
-    default_library,
     sample_technology_array,
 )
 
@@ -71,18 +67,7 @@ def main() -> None:
     print(f"Broadcast    : {broadcast_s * 1e3:7.1f} ms")
 
     # ------------------------------------------------------------------ #
-    # 2. the retained per-configuration loop is the oracle
-    # ------------------------------------------------------------------ #
-    bank = ConfigurationBank(default_library(CMOS035), PAPER_FIG3_CONFIGURATIONS)
-    start = time.perf_counter()
-    looped = bank.period_tensor_loop(temperatures, technologies=population)
-    loop_s = time.perf_counter() - start
-    worst = float(np.max(np.abs(periods.values - looped) / np.abs(looped)))
-    print(f"Config loop  : {loop_s * 1e3:7.1f} ms   "
-          f"(speedup {loop_s / broadcast_s:.1f}x, agreement {worst:.2e} rel)")
-
-    # ------------------------------------------------------------------ #
-    # 3. slice by name: linearity spread across the population
+    # 2. slice by name: linearity spread across the population
     # ------------------------------------------------------------------ #
     errors = sweep.observe("nonlinearity_percent").run()
     print("\nWorst-case non-linearity across the Monte-Carlo population")
@@ -100,7 +85,7 @@ def main() -> None:
         print(f"{label:15s} {np.median(per_sample):14.3f} {np.max(per_sample):12.3f}")
 
     # ------------------------------------------------------------------ #
-    # 4. same axes, another observable: calibrated temperature error
+    # 3. same axes, another observable: calibrated temperature error
     # ------------------------------------------------------------------ #
     cal = sweep.observe("calibration_error_c").run()
     best = ranked[0]

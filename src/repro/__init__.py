@@ -122,7 +122,11 @@ one evaluation path — the Monte-Carlo study below is one
 >>> study.sample_count
 25
 
-The one-temperature-at-a-time loops the broadcast paths replaced are
+A technology population is always one stacked
+:class:`~repro.tech.stacked.TechnologyArray` (a list of same-node
+samples is stacked once on entry; technology nodes are compared on the
+sweep's ``technology`` axis).  The per-temperature, per-sample,
+per-configuration and per-site loops the broadcast paths replaced are
 not part of the package.  They live in the test suite as reference
 oracles (``tests/oracles/``), and the equivalence suites
 (``tests/test_engine_equivalence.py``,

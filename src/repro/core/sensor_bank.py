@@ -26,12 +26,15 @@ takes the same deterministic cycle count, the scan total is that time
 multiplied by the channel count — identical to summing the per-sensor
 readings.
 
-The per-site period loop, :meth:`SensorBank.period_tensor_loop`,
-evaluates populations that cannot be stacked.  The equivalence tests pin
-the banked scan to the per-sensor pipeline it replaced (one
+A population is always one stacked
+:class:`~repro.tech.stacked.TechnologyArray` (a technology list is
+stacked once on entry), so the broadcast is the bank's only evaluation
+path.  The equivalence tests pin the banked scan to the per-sensor
+pipeline it replaced (one
 :class:`~repro.core.sensor.SmartTemperatureSensor` per site, two-point
-calibrated and ``measure``-d in turn): estimates to 1e-9 relative,
-counter codes exactly.
+calibrated and ``measure``-d in turn; it lives in ``tests/oracles/``
+with the per-site period loop): estimates to 1e-9 relative, counter
+codes exactly.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from ..cells.library import CellLibrary, default_library
 from ..oscillator.config import RingConfiguration
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.stacked import stack_technologies
 from ..thermal.floorplan import Floorplan, SensorSite
 from .calibration import LinearCalibration
 from .controller import ControllerConfig, MeasurementController
@@ -315,20 +318,15 @@ class SensorBank:
 
         Returns a ``(site,)`` vector — or the full ``(site, sample)``
         matrix when ``technologies`` is a population (a stacked
-        :class:`~repro.tech.stacked.TechnologyArray` or a stackable
-        technology sequence; unstackable sequences fall back to the
-        per-sample loop).  The sites share one ring design, so the whole
-        scan is a single vectorized stage-sum over the junction-
-        temperature vector.
+        :class:`~repro.tech.stacked.TechnologyArray` or a technology
+        sequence from one node, stacked once).  The sites share one ring
+        design, so the whole scan is a single vectorized stage-sum over
+        the junction-temperature vector.
         """
         temps = self._site_temperatures(junction_temperatures_c)
         if technologies is None:
             return np.asarray(self.ring.period_series(temps), dtype=float)
-        if not isinstance(technologies, TechnologyArray):
-            try:
-                technologies = stack_technologies(list(technologies))
-            except TechnologyError:
-                return self.period_tensor_loop(temps, technologies)
+        technologies = stack_technologies(technologies)
         bound = self.ring.rebind(technologies)
         # (site, 1, 1) temperatures against (sample, 1) parameter columns
         # broadcast to (site, sample, 1); the trailing singleton is the
@@ -337,26 +335,6 @@ class SensorBank:
         return np.asarray(matrix, dtype=float).reshape(
             self.site_count, len(technologies)
         )
-
-    def period_tensor_loop(
-        self, junction_temperatures_c, technologies=None
-    ) -> np.ndarray:
-        """Per-site (and per-sample) reference path of :meth:`period_tensor`.
-
-        One scalar ring evaluation per site — and, with a population,
-        one ring rebind per sample.  The only path for populations that
-        cannot be stacked (mixed geometry).
-        """
-        temps = self._site_temperatures(junction_temperatures_c)
-        if technologies is None:
-            return np.asarray([self.ring.period(float(t)) for t in temps])
-        if isinstance(technologies, TechnologyArray):
-            technologies = technologies.technologies()
-        matrix = np.zeros((self.site_count, len(technologies)))
-        for column, technology in enumerate(technologies):
-            ring = self.ring.rebind(technology)
-            matrix[:, column] = [ring.period(float(t)) for t in temps]
-        return matrix
 
     def measured_period_tensor(
         self, junction_temperatures_c, technologies=None
@@ -394,9 +372,8 @@ class SensorBank:
         if technologies is None:
             periods = np.asarray(self.ring.period_series(endpoints))
         else:
-            if not isinstance(technologies, TechnologyArray):
-                technologies = stack_technologies(list(technologies))
-            periods = np.asarray(self.ring.rebind(technologies).period_series(endpoints))
+            population = stack_technologies(technologies)
+            periods = np.asarray(self.ring.rebind(population).period_series(endpoints))
         codes, _saturated = self.counter.convert_batch(periods)
         measured = self.counter.codes_to_periods(codes)
         period_low = measured[..., 0]

@@ -56,7 +56,7 @@ evaluation path.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -69,7 +69,6 @@ from ..oscillator.period import default_temperature_grid
 from ..oscillator.ring import RingOscillator
 from ..tech.parameters import Technology, TechnologyError
 from ..tech.stacked import (
-    TechnologyArray,
     stack_technologies,
     technology_array_from_columns,
     technology_column_arrays,
@@ -89,31 +88,6 @@ __all__ = [
     "SweepResult",
     "TechnologyMismatchError",
 ]
-
-#: The canonical broadcast order of the named axes: every
-#: :class:`SweepResult` carries its dimensions in this order no matter
-#: the order the axes were declared in.  ``technology`` is outermost —
-#: each node is a complete evaluation context (its own cell library and
-#: rings), so the axis lowers to an outer per-node loop around the fully
-#: broadcast inner sweep.  ``site`` (the sensor-bank location axis) sits
-#: outside the ``supply``/``sample`` pair because those two lower onto
-#: one flat supply-major population axis that must stay contiguous to
-#: un-reshape; ``resolution`` (the thermal grid's density — a
-#: grid-refinement axis that re-solves the die's thermal field per
-#: coordinate, one cached
-#: :class:`~repro.thermal.operator.ThermalOperator` entry each) sits
-#: just outside ``site`` because each refinement produces one junction
-#: temperature per site.
-CANONICAL_AXIS_ORDER = (
-    "technology",
-    "configuration",
-    "width_ratio",
-    "resolution",
-    "site",
-    "supply",
-    "sample",
-    "temperature",
-)
 
 #: The observables a sweep can evaluate.  All preserve the axis shape:
 #: ``period`` (s) and ``frequency`` (Hz) are the raw tensor;
@@ -296,6 +270,30 @@ def _duplicate_labels(labels: Sequence[Any]) -> List[Any]:
     return duplicates
 
 
+def _integer(value: Any, what: str, minimum: int) -> int:
+    """``value`` as an int, rejecting non-integral values (no truncation)."""
+    try:
+        integer = int(value)
+        integral = integer == value
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral or integer < minimum:
+        raise SweepError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return integer
+
+
+def _finite(value: Any, what: str, positive: bool = False) -> float:
+    """``value`` as a finite float that is > 0 (``positive``) or >= 0."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not np.isfinite(number) or number < 0.0 or (positive and number == 0.0):
+        bound = "> 0" if positive else ">= 0"
+        raise SweepError(f"{what} must be a finite number {bound}, got {value!r}")
+    return number
+
+
 # --------------------------------------------------------------------------- #
 # axes
 # --------------------------------------------------------------------------- #
@@ -319,10 +317,10 @@ class Axis:
     payload: Any = None
 
     def __post_init__(self) -> None:
-        if self.name not in CANONICAL_AXIS_ORDER:
+        if not isinstance(self.name, str) or self.name not in _AXIS_KINDS:
             raise SweepError(
                 f"unknown axis {self.name!r}; named axes are "
-                f"{', '.join(CANONICAL_AXIS_ORDER)}"
+                f"{', '.join(_AXIS_KINDS)}"
             )
         if not self.coordinates:
             raise SweepError(f"axis {self.name!r} needs at least one coordinate")
@@ -405,19 +403,20 @@ class Axis:
         """The process-sample axis: a technology population.
 
         Accepts a stacked :class:`~repro.tech.stacked.TechnologyArray`
-        (preferred — it broadcasts as-is) or a sequence of
-        :class:`~repro.tech.parameters.Technology` samples (stacked by
-        the planner when possible, per-sample loop otherwise).
-        Coordinates are the sample indices.
+        (kept as is) or a sequence of
+        :class:`~repro.tech.parameters.Technology` samples, stacked here
+        once — the payload is always a ``TechnologyArray``.  The samples
+        must share one node's geometry scalars; to compare technology
+        nodes, sweep them on :meth:`technology` instead.  Coordinates
+        are the sample indices.
         """
-        if isinstance(technologies, TechnologyArray):
-            count = len(technologies)
-        else:
-            technologies = list(technologies)
-            count = len(technologies)
-        if count < 1:
+        try:
+            population = stack_technologies(technologies)
+        except TechnologyError as error:
+            raise SweepError(str(error)) from error
+        if len(population) < 1:
             raise SweepError("sample axis needs at least one technology sample")
-        return cls("sample", tuple(range(count)), payload=technologies)
+        return cls("sample", tuple(range(len(population))), payload=population)
 
     @classmethod
     def configuration(
@@ -587,7 +586,11 @@ class Axis:
         the ``configuration`` axis.  Ratios must be unique — a duplicate
         would collide as a coordinate label in the result, making
         ``select`` ambiguous and the serialized form lossy.
+        ``nmos_width_um`` must be finite and positive and
+        ``stage_count`` an integer of at least 3.
         """
+        nmos_width_um = _finite(nmos_width_um, "nmos_width_um", positive=True)
+        stage_count = _integer(stage_count, "width_ratio stage_count", minimum=3)
         values = np.asarray(list(ratios), dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise SweepError("width_ratio axis needs at least one ratio")
@@ -602,7 +605,7 @@ class Axis:
         return cls(
             "width_ratio",
             tuple(float(r) for r in values),
-            payload={"nmos_width_um": float(nmos_width_um), "stage_count": int(stage_count)},
+            payload={"nmos_width_um": nmos_width_um, "stage_count": stage_count},
         )
 
     # ------------------------------------------------------------------ #
@@ -621,145 +624,188 @@ class Axis:
         :class:`~repro.thermal.floorplan.Floorplan`) and have no
         serialized form; they raise :class:`SweepError`.
         """
-        if self.name == "technology":
-            return {
-                "name": "technology",
-                "nodes": [_technology_to_dict(node) for node in self.payload],
-            }
-        if self.name == "temperature":
-            return {
-                "name": "temperature",
-                "coordinates": [float(t) for t in self.coordinates],
-            }
-        if self.name == "supply":
-            return {
-                "name": "supply",
-                "coordinates": [float(v) for v in self.coordinates],
-            }
-        if self.name == "width_ratio":
-            return {
-                "name": "width_ratio",
-                "coordinates": [float(r) for r in self.coordinates],
-                "nmos_width_um": float(self.payload["nmos_width_um"]),
-                "stage_count": int(self.payload["stage_count"]),
-            }
-        if self.name == "configuration":
-            return {
-                "name": "configuration",
-                "labels": [str(label) for label in self.coordinates],
-                "stages": [
-                    list(self.payload[label].stages) for label in self.coordinates
-                ],
-            }
-        if self.name == "sample":
-            population = self.payload
-            if not isinstance(population, TechnologyArray):
-                try:
-                    population = stack_technologies(list(population))
-                except TechnologyError as error:
-                    raise SweepError(
-                        "this sample axis holds an unstackable technology "
-                        "list (samples disagree on the geometry scalars) "
-                        "and cannot be serialized; pass a stackable "
-                        "population or a TechnologyArray"
-                    ) from error
-            columns = technology_column_arrays(population)
-            return {
-                "name": "sample",
-                "technology": {
-                    "name": str(population.name),
-                    "feature_size_um": float(population.feature_size_um),
-                    "min_width_um": float(population.min_width_um),
-                    "metal_layers": int(population.metal_layers),
-                    "extras": [dict(extra) for extra in population.extras],
-                },
-                "columns": {
-                    key: np.asarray(column, dtype=float).reshape(-1).tolist()
-                    for key, column in sorted(columns.items())
-                },
-            }
-        raise SweepError(
-            f"axis {self.name!r} carries live objects (a sensor bank or "
-            f"floorplan) and has no serialized form; a served sweep "
-            f"supports the technology, configuration, width_ratio, supply, "
-            f"sample and temperature axes"
-        )
+        encode = _AXIS_KINDS[self.name].encode
+        if encode is None:
+            raise SweepError(
+                f"axis {self.name!r} carries live objects (a sensor bank or "
+                f"floorplan) and has no serialized form; a served sweep "
+                f"supports the {_serializable_axis_names()} axes"
+            )
+        return {"name": self.name, **encode(self)}
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "Axis":
-        """Re-hydrate an axis serialized by :meth:`to_dict`."""
+        """Re-hydrate an axis serialized by :meth:`to_dict`.
+
+        Malformed payloads (a missing key, a value of the wrong type)
+        raise :class:`SweepError`.
+        """
         if not isinstance(payload, Mapping):
             raise SweepError(
                 f"Axis.from_dict takes a to_dict() mapping, got "
                 f"{type(payload).__name__}"
             )
         name = payload.get("name")
+        kind = _AXIS_KINDS.get(name) if isinstance(name, str) else None
+        if kind is None or kind.decode is None:
+            raise SweepError(
+                f"unknown serialized axis {name!r}; serializable axes are "
+                f"{_serializable_axis_names()}"
+            )
         try:
-            if name == "technology":
-                nodes = payload["nodes"]
-                if not isinstance(nodes, Sequence) or isinstance(nodes, (str, bytes)):
-                    raise SweepError(
-                        f"serialized technology axis's nodes must be a list, "
-                        f"got {type(nodes).__name__}"
-                    )
-                return cls.technology(
-                    [_technology_from_dict(entry) for entry in nodes]
-                )
-            if name == "temperature":
-                return cls.temperature(payload["coordinates"])
-            if name == "supply":
-                return cls.supply(payload["coordinates"])
-            if name == "width_ratio":
-                return cls.width_ratio(
-                    payload["coordinates"],
-                    nmos_width_um=payload["nmos_width_um"],
-                    stage_count=payload["stage_count"],
-                )
-            if name == "configuration":
-                labels = [str(label) for label in payload["labels"]]
-                stages = payload["stages"]
-                if len(labels) != len(stages):
-                    raise SweepError(
-                        f"configuration axis has {len(labels)} labels but "
-                        f"{len(stages)} stage lists"
-                    )
-                try:
-                    configs = [
-                        RingConfiguration(tuple(str(s) for s in entry))
-                        for entry in stages
-                    ]
-                except ConfigurationError as error:
-                    raise SweepError(str(error)) from error
-                return cls.configuration(dict(zip(labels, configs)))
-            if name == "sample":
-                tech = payload["technology"]
-                columns = {
-                    key: np.asarray(values, dtype=float).reshape(-1, 1)
-                    for key, values in payload["columns"].items()
-                }
-                try:
-                    population = technology_array_from_columns(
-                        name=str(tech["name"]),
-                        feature_size_um=float(tech["feature_size_um"]),
-                        min_width_um=float(tech["min_width_um"]),
-                        metal_layers=int(tech["metal_layers"]),
-                        extras=tuple(dict(extra) for extra in tech["extras"]),
-                        columns=columns,
-                    )
-                except (TechnologyError, KeyError) as error:
-                    raise SweepError(
-                        f"invalid serialized sample population: {error}"
-                    ) from error
-                return cls.sample(population)
+            return kind.decode(payload)
+        except SweepError:
+            raise
         except KeyError as error:
             raise SweepError(
                 f"serialized {name!r} axis is missing key {error}"
             ) from None
+        except (TypeError, ValueError, AttributeError) as error:
+            raise SweepError(f"invalid serialized {name!r} axis: {error}") from error
+
+
+# --------------------------------------------------------------------------- #
+# the axis-kind table
+# --------------------------------------------------------------------------- #
+
+
+def _decode_configuration(payload: Mapping[str, Any]) -> Axis:
+    labels = [str(label) for label in payload["labels"]]
+    stages = payload["stages"]
+    if len(labels) != len(stages):
         raise SweepError(
-            f"unknown serialized axis {name!r}; serializable axes are "
-            f"technology, configuration, width_ratio, supply, sample and "
-            f"temperature"
+            f"configuration axis has {len(labels)} labels but "
+            f"{len(stages)} stage lists"
         )
+    configs = [RingConfiguration(tuple(str(s) for s in entry)) for entry in stages]
+    return Axis.configuration(dict(zip(labels, configs)))
+
+
+def _encode_sample(axis: Axis) -> Dict[str, Any]:
+    population = axis.payload
+    columns = technology_column_arrays(population)
+    return {
+        "technology": {
+            "name": str(population.name),
+            "feature_size_um": float(population.feature_size_um),
+            "min_width_um": float(population.min_width_um),
+            "metal_layers": int(population.metal_layers),
+            "extras": [dict(extra) for extra in population.extras],
+        },
+        "columns": {
+            key: np.asarray(column, dtype=float).reshape(-1).tolist()
+            for key, column in sorted(columns.items())
+        },
+    }
+
+
+def _decode_sample(payload: Mapping[str, Any]) -> Axis:
+    tech = payload["technology"]
+    return Axis.sample(
+        technology_array_from_columns(
+            name=str(tech["name"]),
+            feature_size_um=float(tech["feature_size_um"]),
+            min_width_um=float(tech["min_width_um"]),
+            metal_layers=int(tech["metal_layers"]),
+            extras=tuple(dict(extra) for extra in tech["extras"]),
+            columns={
+                key: np.asarray(values, dtype=float).reshape(-1, 1)
+                for key, values in payload["columns"].items()
+            },
+        )
+    )
+
+
+def _coordinates(axis: Axis) -> Dict[str, Any]:
+    return {"coordinates": [float(c) for c in axis.coordinates]}
+
+
+@dataclass(frozen=True)
+class _AxisKind:
+    """The per-kind hooks of one named axis.
+
+    ``encode`` / ``decode`` are the halves of :meth:`Axis.to_dict` /
+    :meth:`Axis.from_dict` (``None`` for kinds holding live objects).
+    ``slice`` restricts the axis to coordinates ``[start, stop)``; only
+    the elementwise kinds the tiling pass may split have one.
+    ``endpoint_fit`` marks the kind whose extremes the endpoint-fit
+    observables read, which a tile must then carry whole.
+    """
+
+    encode: Optional[Callable[[Axis], Dict[str, Any]]] = None
+    decode: Optional[Callable[[Mapping[str, Any]], Axis]] = None
+    slice: Optional[Callable[[Axis, int, int], Axis]] = None
+    endpoint_fit: bool = False
+
+
+#: One entry per axis kind, keyed in :data:`CANONICAL_AXIS_ORDER`.
+_AXIS_KINDS: Dict[str, _AxisKind] = {
+    "technology": _AxisKind(
+        lambda axis: {"nodes": [_technology_to_dict(node) for node in axis.payload]},
+        lambda payload: Axis.technology(
+            [_technology_from_dict(entry) for entry in payload["nodes"]]
+        ),
+    ),
+    "configuration": _AxisKind(
+        lambda axis: {
+            "labels": [str(label) for label in axis.coordinates],
+            "stages": [list(axis.payload[label].stages) for label in axis.coordinates],
+        },
+        _decode_configuration,
+    ),
+    "width_ratio": _AxisKind(
+        lambda axis: {
+            **_coordinates(axis),
+            "nmos_width_um": float(axis.payload["nmos_width_um"]),
+            "stage_count": int(axis.payload["stage_count"]),
+        },
+        lambda payload: Axis.width_ratio(
+            payload["coordinates"],
+            nmos_width_um=payload["nmos_width_um"],
+            stage_count=payload["stage_count"],
+        ),
+    ),
+    "resolution": _AxisKind(),
+    "site": _AxisKind(),
+    "supply": _AxisKind(
+        _coordinates, lambda payload: Axis.supply(payload["coordinates"])
+    ),
+    "sample": _AxisKind(
+        _encode_sample,
+        _decode_sample,
+        lambda axis, start, stop: Axis(
+            axis.name, axis.coordinates[start:stop], axis.payload.sliced(start, stop)
+        ),
+    ),
+    "temperature": _AxisKind(
+        _coordinates,
+        lambda payload: Axis.temperature(payload["coordinates"]),
+        lambda axis, start, stop: Axis(axis.name, axis.coordinates[start:stop]),
+        endpoint_fit=True,
+    ),
+}
+
+#: The canonical broadcast order of the named axes: every
+#: :class:`SweepResult` carries its dimensions in this order no matter
+#: the order the axes were declared in.  ``technology`` is outermost —
+#: each node is a complete evaluation context (its own cell library and
+#: rings), so the axis lowers to an outer per-node loop around the fully
+#: broadcast inner sweep.  ``site`` (the sensor-bank location axis) sits
+#: outside the ``supply``/``sample`` pair because those two lower onto
+#: one flat supply-major population axis that must stay contiguous to
+#: un-reshape; ``resolution`` (the thermal grid's density — a
+#: grid-refinement axis that re-solves the die's thermal field per
+#: coordinate, one cached
+#: :class:`~repro.thermal.operator.ThermalOperator` entry each) sits
+#: just outside ``site`` because each refinement produces one junction
+#: temperature per site.
+CANONICAL_AXIS_ORDER = tuple(_AXIS_KINDS)
+
+
+def _serializable_axis_names() -> str:
+    """The axis kinds with a serialized form, as prose in canonical order."""
+    names = [name for name, kind in _AXIS_KINDS.items() if kind.encode is not None]
+    return f"{', '.join(names[:-1])} and {names[-1]}"
 
 
 # --------------------------------------------------------------------------- #
@@ -1047,7 +1093,7 @@ class Sweep:
         sweep as-is (wins over technology/library/configuration).
     wire_length_um / external_load_f / tap_stage:
         Ring construction parameters used when the sweep builds rings
-        itself.
+        itself (finite and non-negative; ``tap_stage`` an integer).
     readout:
         Counter readout used by the ``code`` observable for sweeps
         without a site axis (a site axis brings its bank's readout).
@@ -1073,11 +1119,18 @@ class Sweep:
         self._library = library
         if isinstance(configuration, str):
             configuration = RingConfiguration.parse(configuration)
+        if configuration is not None and not isinstance(configuration, RingConfiguration):
+            raise SweepError(
+                f"configuration= takes a RingConfiguration or a parseable "
+                f"string, got {type(configuration).__name__}"
+            )
         self._configuration = configuration
         self._ring = ring
-        self._wire_length_um = float(wire_length_um)
-        self._external_load_f = float(external_load_f)
-        self._tap_stage = tap_stage
+        self._wire_length_um = _finite(wire_length_um, "wire_length_um")
+        self._external_load_f = _finite(external_load_f, "external_load_f")
+        self._tap_stage = (
+            None if tap_stage is None else _integer(tap_stage, "tap_stage", minimum=0)
+        )
         self._readout = readout
         self._axes: Dict[str, Axis] = {}
         self._observable = "period"
@@ -1178,7 +1231,8 @@ class Sweep:
         registry by content digest; a name the registry does not know
         (with no inline parameters) or knows under a different digest
         raises :class:`TechnologyMismatchError` rather than silently
-        evaluating whatever this process calls that name.
+        evaluating whatever this process calls that name.  Any other
+        malformed field raises :class:`SweepError`.
         """
         if not isinstance(payload, Mapping):
             raise SweepError(
@@ -1206,20 +1260,18 @@ class Sweep:
         if base.get("technology") is not None:
             technology = _technology_from_dict(base["technology"])
         try:
-            readout = ReadoutConfig(**dict(base.get("readout") or {}))
-        except (TypeError, TechnologyError) as error:
-            raise SweepError(f"invalid serialized readout: {error}") from error
-        try:
             sweep = cls(
                 technology=technology,
                 configuration=base.get("configuration"),
                 wire_length_um=base.get("wire_length_um", 2.0),
                 external_load_f=base.get("external_load_f", 0.0),
                 tap_stage=base.get("tap_stage"),
-                readout=readout,
+                readout=ReadoutConfig(**dict(base.get("readout") or {})),
             )
-        except ConfigurationError as error:
-            raise SweepError(str(error)) from error
+        except SweepError:
+            raise
+        except (TypeError, ValueError, AttributeError) as error:
+            raise SweepError(f"invalid serialized sweep base: {error}") from error
         axes = payload["axes"]
         if not isinstance(axes, Sequence) or isinstance(axes, (str, bytes)):
             raise SweepError(
@@ -1289,15 +1341,12 @@ class Sweep:
                     "ring=/configuration= base"
                 )
             bank = site_axis.payload["bank"]
-            if (
-                self._technology is not None
-                and bank.technology is not self._technology
-                and bank.technology.name != self._technology.name
-            ):
+            if self._technology is not None and bank.technology != self._technology:
                 raise SweepError(
                     f"the site axis's bank is built in technology "
-                    f"{bank.technology.name!r} but technology= is "
-                    f"{self._technology.name!r}; the sweep would mix the two"
+                    f"{bank.technology.name!r}, not in technology= "
+                    f"{self._technology.name!r} (compared by value); the "
+                    f"sweep would mix the two"
                 )
         if site_scan:
             if "temperature" in self._axes:
@@ -1339,14 +1388,13 @@ class Sweep:
         if (
             self._technology is not None
             and self._library is not None
-            and self._library.technology is not self._technology
-            and self._library.technology.name != self._technology.name
+            and self._library.technology != self._technology
         ):
             raise SweepError(
                 f"library= is built in technology "
-                f"{self._library.technology.name!r} but technology= is "
-                f"{self._technology.name!r}; the sweep would mix the two — "
-                "pass one of them"
+                f"{self._library.technology.name!r}, not in technology= "
+                f"{self._technology.name!r} (compared by value); the sweep "
+                "would mix the two — pass one of them"
             )
         return SweepPlan(
             axes=axes,
@@ -1511,19 +1559,6 @@ class SweepPlan:
                 [self._base_technology().with_supply(float(v)) for v in supplies]
             )
         samples = sample_axis.payload
-        if not isinstance(samples, TechnologyArray):
-            try:
-                samples = stack_technologies(list(samples))
-            except TechnologyError:
-                # Unstackable populations (samples disagreeing on the
-                # geometry scalars) keep the documented per-sample-loop
-                # fallback: hand the evaluators a plain supply-major
-                # technology list instead of a stacked cross product.
-                return [
-                    sample.with_supply(float(supply))
-                    for supply in supplies
-                    for sample in sample_axis.payload
-                ]
         return samples.tiled(supplies.size).with_supply(
             np.repeat(supplies, len(samples))
         )
@@ -1544,21 +1579,13 @@ class SweepPlan:
 
         The ``power`` observable's load-independent factor: the ring's
         dynamic power is this divided by the period.  Shapes: a scalar
-        without a population, an ``(S, 1)`` column against a stacked
-        one, and a per-sample loop for the unstackable-list fallback.
+        without a population, an ``(S, 1)`` column against one.
         """
-        def factor(bound: RingOscillator):
-            return (
-                np.asarray(bound.technology.vdd) ** 2 * bound.switched_capacitance()
-            )
-
+        bound = ring if population is None else ring.rebind(population)
+        factor = np.asarray(bound.technology.vdd) ** 2 * bound.switched_capacitance()
         if population is None:
-            return np.asarray(factor(ring))
-        if not isinstance(population, TechnologyArray):
-            return np.asarray(
-                [float(factor(ring.rebind(sample))) for sample in population]
-            ).reshape(-1, 1)
-        return np.asarray(factor(ring.rebind(population))).reshape(-1, 1)
+            return factor
+        return factor.reshape(-1, 1)
 
     def execute(
         self,

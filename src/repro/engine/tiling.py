@@ -12,22 +12,25 @@ and :func:`subplan` lowers one tile back into an ordinary ``SweepPlan``
 over sliced axes, ready for any executor backend
 (:mod:`repro.engine.executors`) to evaluate.
 
-Only *elementwise* axes are split — ``sample`` first (slicing the
-struct-of-arrays technology population by rows), then ``temperature``
-(slicing the evaluation grid) — because the whole delay stack is
-elementwise in those dimensions: a tile's broadcast computes exactly
-the same floating-point operations, in the same order, as the
-corresponding slice of the dense pass, so tiled results are **bitwise
-identical** to dense ones.  The endpoint-fit observables
-(``transfer_c`` / ``calibration_error_c`` / ``nonlinearity_percent``)
-couple every temperature to the grid's extremes, so for them the
-temperature axis is never split (the sample axis still is).  Axes that
-re-solve shared state per coordinate (``technology``, ``configuration``,
-``resolution``, ``site``, ``width_ratio``) are never split — a
-``technology`` axis rides whole inside every tile, its per-node loop
-re-entered by the tile's dense evaluation; when none of the splittable
-axes is present the sweep is one tile regardless of budget — the budget
-is a bound on what tiling *can* bound, not a hard allocation cap.
+Which axes split, and how, is read from the sweep engine's axis-kind
+table: only the *elementwise* kinds carry a slicer — ``sample``
+(slicing the struct-of-arrays technology population by rows) and
+``temperature`` (slicing the evaluation grid), split in that, the
+canonical, order — because the whole delay stack is elementwise in
+those dimensions: a tile's broadcast computes exactly the same
+floating-point operations, in the same order, as the corresponding
+slice of the dense pass, so tiled results are **bitwise identical** to
+dense ones.  The endpoint-fit observables (``transfer_c`` /
+``calibration_error_c`` / ``nonlinearity_percent``) couple every
+temperature to the grid's extremes, so for them the temperature axis
+is never split (the sample axis still is).  Axes that re-solve shared
+state per coordinate (``technology``, ``configuration``,
+``resolution``, ``site``, ``width_ratio``) have no slicer and are never
+split — a ``technology`` axis rides whole inside every tile, its
+per-node loop re-entered by the tile's dense evaluation; when none of
+the splittable axes is present the sweep is one tile regardless of
+budget — the budget is a bound on what tiling *can* bound, not a hard
+allocation cap.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..tech.stacked import TechnologyArray
-from .sweep import _ENDPOINT_OBSERVABLES, Axis, SweepError, SweepPlan
+from .sweep import _AXIS_KINDS, _ENDPOINT_OBSERVABLES, SweepError, SweepPlan
 
 __all__ = [
     "DEFAULT_TILE_ELEMENTS",
@@ -60,11 +62,15 @@ DEFAULT_TILE_ELEMENTS = 1 << 20
 #: budget (``period``/``power`` are float64, ``code`` is int64 — both 8).
 _ITEMSIZE = 8
 
-#: The axes a tiling pass may split, in preference order.  Both are
-#: purely elementwise through the evaluation stack, which is what makes
-#: tiled-vs-dense results bitwise identical; ``sample`` first because
-#: populations are the axis that actually grows without bound.
-SPLITTABLE_AXES = ("sample", "temperature")
+#: The axes a tiling pass may split, in preference order: the kinds
+#: with a slicer, in canonical order (``sample``, then
+#: ``temperature``).  Both are purely elementwise through the
+#: evaluation stack, which is what makes tiled-vs-dense results bitwise
+#: identical; ``sample`` first because populations are the axis that
+#: actually grows without bound.
+SPLITTABLE_AXES = tuple(
+    name for name, kind in _AXIS_KINDS.items() if kind.slice is not None
+)
 
 
 @dataclass(frozen=True)
@@ -135,13 +141,15 @@ class TilingPlan:
 def _splittable_axes(plan: SweepPlan) -> List[str]:
     """The axes of this plan a tiling pass may slice, in split order."""
     names = [axis.name for axis in plan.axes]
-    splittable = [name for name in SPLITTABLE_AXES if name in names]
-    if plan.observable in _ENDPOINT_OBSERVABLES and "temperature" in splittable:
-        # The endpoint fit calibrates every temperature against the
-        # grid's extremes; a temperature tile without both endpoints
-        # could not reproduce the dense numbers.
-        splittable.remove("temperature")
-    return splittable
+    # The endpoint fit calibrates every temperature against the grid's
+    # extremes; a temperature tile without both endpoints could not
+    # reproduce the dense numbers.
+    endpoint_fit = plan.observable in _ENDPOINT_OBSERVABLES
+    return [
+        name
+        for name in SPLITTABLE_AXES
+        if name in names and not (endpoint_fit and _AXIS_KINDS[name].endpoint_fit)
+    ]
 
 
 def plan_tiles(
@@ -260,38 +268,23 @@ def plan_result_tiles(
     return tile_index_space(dims, shape, list(dims), int(max_tile_elements))
 
 
-def _slice_sample_axis(axis: Axis, start: int, stop: int) -> Axis:
-    """The sample axis restricted to population rows ``[start, stop)``."""
-    payload = axis.payload
-    if isinstance(payload, TechnologyArray):
-        payload = payload.sliced(start, stop)
-    else:
-        payload = list(payload)[start:stop]
-    return Axis("sample", axis.coordinates[start:stop], payload=payload)
-
-
-def _slice_temperature_axis(axis: Axis, start: int, stop: int) -> Axis:
-    return Axis("temperature", axis.coordinates[start:stop])
-
-
 def subplan(plan: SweepPlan, tile: Tile) -> SweepPlan:
     """Lower one tile back into an ordinary dense-executable plan.
 
-    The returned plan is the original with its ``sample`` /
-    ``temperature`` axes sliced to the tile's ranges (coordinates keep
-    their global labels, so a tile's own ``SweepResult`` is still
-    meaningfully labeled).  Executing it densely computes exactly the
-    tile's slice of the full tensor, bit for bit.
+    The returned plan is the original with its split axes sliced to the
+    tile's ranges by their kinds' slicers (coordinates keep their global
+    labels, so a tile's own ``SweepResult`` is still meaningfully
+    labeled).  Executing it densely computes exactly the tile's slice of
+    the full tensor, bit for bit.
     """
     axes = []
     for axis in plan.axes:
         span = tile.bounds_for(axis.name)
         if span is None:
             axes.append(axis)
-        elif axis.name == "sample":
-            axes.append(_slice_sample_axis(axis, *span))
-        elif axis.name == "temperature":
-            axes.append(_slice_temperature_axis(axis, *span))
-        else:  # pragma: no cover - plan_tiles never splits other axes
+            continue
+        slicer = _AXIS_KINDS[axis.name].slice
+        if slicer is None:  # pragma: no cover - plan_tiles never splits these
             raise SweepError(f"axis {axis.name!r} cannot be tiled")
+        axes.append(slicer(axis, *span))
     return replace(plan, axes=tuple(axes))

@@ -22,12 +22,14 @@ broadcast:
   unique cell, no Python loop over configurations, samples or
   temperatures.
 
-The per-configuration loop (one
-:meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring),
-:meth:`ConfigurationBank.period_tensor_loop`, evaluates populations
-that cannot be stacked; the equivalence tests also pin the stacked path
-to it (relative tolerance 1e-9; in practice the two orderings of the
-same arithmetic agree to a few ULP).
+A population is always one stacked
+:class:`~repro.tech.stacked.TechnologyArray` (a technology list is
+stacked once on entry), so this broadcast is the bank's only evaluation
+path.  The equivalence tests pin it to the per-configuration loop of
+``tests/oracles/`` (one
+:meth:`~repro.oscillator.ring.RingOscillator.period_matrix` per ring)
+at relative tolerance 1e-9; in practice the two orderings of the same
+arithmetic agree to a few ULP.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import numpy as np
 from ..cells.cell import StandardCell
 from ..cells.library import CellLibrary
 from ..delay.alpha_power import DriveNetwork, effective_saturation_current
-from ..tech.parameters import TechnologyError
 from ..tech.stacked import TechnologyArray, stack_technologies
 from .config import ConfigurationError, RingConfiguration
 from .ring import RingOscillator
@@ -184,16 +185,14 @@ class ConfigurationBank:
         """Rings (and the stacked population, if any) to evaluate with.
 
         ``technologies=None`` evaluates against the library's own
-        technology; otherwise the population is stacked (an existing
-        :class:`~repro.tech.stacked.TechnologyArray` is used as is) and
-        every ring is rebound to it once.
+        technology; otherwise the population is stacked once
+        (:func:`~repro.tech.stacked.stack_technologies` returns an
+        existing :class:`~repro.tech.stacked.TechnologyArray` unchanged)
+        and every ring is rebound to it once.
         """
         if technologies is None:
             return self._rings, None
-        if isinstance(technologies, TechnologyArray):
-            population = technologies
-        else:
-            population = stack_technologies(technologies)
+        population = stack_technologies(technologies)
         return [ring.rebind(population) for ring in self._rings], population
 
     def period_tensor(
@@ -206,17 +205,11 @@ class ConfigurationBank:
         Returns a ``(config, temperature)`` matrix, or the full
         ``(config, sample, temperature)`` tensor when ``technologies``
         is a population (a :class:`~repro.tech.stacked.TechnologyArray`
-        or a stackable sequence of technologies).  Technology lists that
-        cannot be stacked (samples disagreeing on geometry scalars) fall
-        back to the per-configuration loop, so any input
-        :meth:`period_tensor_loop` accepts still evaluates.
+        or a sequence of technologies from one node, stacked once).  A
+        list mixing technology nodes raises
+        :class:`~repro.tech.parameters.TechnologyError`.
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        if technologies is not None and not isinstance(technologies, TechnologyArray):
-            try:
-                technologies = stack_technologies(technologies)
-            except TechnologyError:
-                return self.period_tensor_loop(temps, technologies)
         rings, population = self._bound_rings(technologies)
         sample_count = len(population) if population is not None else 1
         stages_per_ring = [ring.stages() for ring in rings]
@@ -265,27 +258,6 @@ class ConfigurationBank:
         if population is None:
             return tensor[:, 0, :]
         return tensor
-
-    def period_tensor_loop(
-        self,
-        temperatures_c: Sequence[float],
-        technologies=None,
-    ) -> np.ndarray:
-        """Per-configuration reference path of :meth:`period_tensor`.
-
-        Evaluates one ring at a time through the existing stacked delay
-        path (:meth:`~repro.oscillator.ring.RingOscillator.period_series`
-        / :meth:`~repro.oscillator.ring.RingOscillator.period_matrix`).
-        It is the only path for populations that cannot be stacked
-        (mixed geometry); the configuration-axis equivalence tests (and
-        benchmarks) also compare the single-broadcast tensor against it.
-        """
-        temps = np.asarray(temperatures_c, dtype=float)
-        if technologies is None:
-            return np.stack([ring.period_series(temps) for ring in self._rings])
-        return np.stack(
-            [ring.period_matrix(technologies, temps) for ring in self._rings]
-        )
 
 
 def _delay_per_farad(tech, cell: StandardCell, temperatures_c: np.ndarray):

@@ -27,8 +27,8 @@ from ..circuit.netlist import Circuit
 from ..circuit.transient import TransientOptions, TransientResult, simulate_transient
 from ..circuit.waveform import Waveform
 from ..delay.load import wire_capacitance
-from ..tech.parameters import TechnologyError, celsius_to_kelvin
-from ..tech.stacked import TechnologyArray, stack_technologies
+from ..tech.parameters import celsius_to_kelvin
+from ..tech.stacked import stack_technologies
 from .config import ConfigurationError, RingConfiguration
 
 __all__ = ["RingOscillator", "RingStage"]
@@ -237,49 +237,20 @@ class RingOscillator:
     ) -> np.ndarray:
         """Periods (s) on a (technology sample x temperature) grid.
 
-        Stacks the technologies into one struct-of-arrays population
-        (:func:`~repro.tech.stacked.stack_technologies`; an existing
-        :class:`~repro.tech.stacked.TechnologyArray` is used as is),
-        re-binds the ring once, and evaluates the whole
+        Stacks the technologies once into a struct-of-arrays population
+        (:func:`~repro.tech.stacked.stack_technologies`, which returns
+        an existing :class:`~repro.tech.stacked.TechnologyArray`
+        unchanged), re-binds the ring once, and evaluates the whole
         ``(len(technologies), len(temperatures_c))`` matrix in a single
-        broadcast stage-sum — no per-sample rebind, no Python loop over
-        samples.  Technology lists that cannot be stacked (samples
-        disagreeing on the geometry scalars, e.g. when comparing
-        technology nodes) evaluate through :meth:`period_matrix_loop`
-        instead, so any list the pre-stacking path accepted still
-        evaluates.
+        broadcast stage-sum.  The samples must share one node's geometry
+        scalars; a list mixing technology nodes raises
+        :class:`~repro.tech.parameters.TechnologyError` (sweep the nodes
+        on ``Axis.technology`` instead).
         """
         temps = np.asarray(temperatures_c, dtype=float)
-        if isinstance(technologies, TechnologyArray):
-            stacked = technologies
-        else:
-            try:
-                stacked = stack_technologies(technologies)
-            except TechnologyError:
-                return self.period_matrix_loop(technologies, temps)
+        stacked = stack_technologies(technologies)
         matrix = self.rebind(stacked).period_series(temps)
         return np.asarray(matrix, dtype=float).reshape(len(stacked), temps.size)
-
-    def period_matrix_loop(
-        self,
-        technologies: Sequence,
-        temperatures_c: Sequence[float],
-    ) -> np.ndarray:
-        """Per-sample reference path of :meth:`period_matrix`.
-
-        Re-binds the ring to each technology in turn and evaluates the
-        vectorized temperature axis once per sample.  It is the only
-        path for populations that cannot be stacked (mixed geometry,
-        e.g. different technology nodes); the stacked-equivalence tests
-        also pin :meth:`period_matrix` to it.
-        """
-        temps = np.asarray(temperatures_c, dtype=float)
-        if isinstance(technologies, TechnologyArray):
-            technologies = technologies.technologies()
-        matrix = np.zeros((len(technologies), temps.size))
-        for row, tech in enumerate(technologies):
-            matrix[row] = self.rebind(tech).period_series(temps)
-        return matrix
 
     def sensitivity(self, temperature_c: float, delta_c: float = 1.0) -> float:
         """Local d(period)/dT (s/K) by central difference."""

@@ -74,6 +74,8 @@ from ..engine.sweep import (
     _ENDPOINT_OBSERVABLES,
 )
 from ..engine.tiling import plan_result_tiles
+from ..oscillator.config import ConfigurationError
+from ..tech.parameters import TechnologyError
 from .batcher import DEFAULT_BATCH_WINDOW_MS, MicroBatcher
 from .cache import (
     DEFAULT_CACHE_BYTES,
@@ -645,7 +647,10 @@ class SweepServer:
             writer.write(
                 encode_line(error_envelope(E_TECH_MISMATCH, str(error), request_id))
             )
-        except SweepError as error:
+        except (SweepError, TechnologyError, ConfigurationError) as error:
+            # The engine builds the spec's rings lazily; a ring the
+            # spec's values cannot build (e.g. a tap_stage outside the
+            # ring) is still the spec's fault, not the server's.
             writer.write(encode_line(error_envelope(E_BAD_SPEC, str(error), request_id)))
         except Exception as error:  # noqa: BLE001 - protocol boundary
             writer.write(

@@ -10,6 +10,8 @@ client, and asserts the service contract end to end —
 * the repeat request is answered from the cache with zero new engine
   evaluations,
 * a point query agrees with the sweep's slice,
+* a malformed spec answers ``bad-spec`` and the next sweep is still
+  served,
 * ``shutdown`` stops the server cleanly,
 * and, when ``REPRO_SERVE_CACHE_DIR`` is set, a **restarted** server
   on the same cache directory serves the repeat from disk with zero
@@ -31,7 +33,8 @@ from typing import List, Optional
 from ..engine.sweep import Axis, Sweep
 from ..oscillator import RingConfiguration
 from ..tech import CMOS035
-from .client import ServeClient
+from .client import ServeClient, ServeError
+from .protocol import E_BAD_SPEC
 from .server import CACHE_DIR_ENV, start_server_thread
 
 __all__ = ["main"]
@@ -72,13 +75,28 @@ def main(argv: Optional[List[str]] = None) -> int:
                 sweep.run().select(temperature=25.0).item()
             ), "point query disagrees with the sweep slice"
 
+            # A tap stage outside the ring fails inside the engine, on
+            # a worker; the next (uncached) sweep must still evaluate.
+            malformed = sweep.to_dict()
+            malformed["base"]["tap_stage"] = 99
+            try:
+                client.sweep_payload(malformed)
+            except ServeError as error:
+                assert error.code == E_BAD_SPEC, error
+            else:
+                raise AssertionError("a malformed spec was served")
+            following = base.over(Axis.temperature([0.0, 50.0]))
+            assert client.sweep_payload(following) == following.run().to_dict(), (
+                "the sweep after a malformed spec was not served"
+            )
+
             client.shutdown()
     finally:
         handle.stop()
     alive = handle.thread is not None and handle.thread.is_alive()
     assert not alive, "server thread survived shutdown"
 
-    checks = "round trip, cache hit, point query, shutdown"
+    checks = "round trip, cache hit, point query, bad spec, shutdown"
     if os.environ.get(CACHE_DIR_ENV):
         # Warm restart: a fresh server process state over the same disk
         # cache must serve the repeat without a single evaluation.

@@ -494,7 +494,9 @@ def technology_array_from_columns(
     )
 
 
-def stack_technologies(technologies: Sequence[Technology]) -> TechnologyArray:
+def stack_technologies(
+    technologies: Union[Sequence[Technology], TechnologyArray],
+) -> TechnologyArray:
     """Stack per-sample scalar technologies into one :class:`TechnologyArray`.
 
     Every sample must share the geometry-defining scalars
@@ -503,7 +505,14 @@ def stack_technologies(technologies: Sequence[Technology]) -> TechnologyArray:
     stacked into ``(samples, 1)`` columns.  The result evaluates
     identically (elementwise) to looping over the input technologies,
     which the stacked-equivalence tests pin down.
+
+    An already-stacked :class:`TechnologyArray` is returned unchanged,
+    so every population entry point stacks its input through here once.
+    A list mixing technology nodes has no stacked form; compare nodes
+    on the sweep engine's ``Axis.technology`` axis instead.
     """
+    if isinstance(technologies, TechnologyArray):
+        return technologies
     techs = list(technologies)
     if not techs:
         raise TechnologyError("cannot stack an empty technology sequence")
@@ -515,7 +524,8 @@ def stack_technologies(technologies: Sequence[Technology]) -> TechnologyArray:
     if len(feature_sizes) > 1 or len(min_widths) > 1 or len(metal_layers) > 1:
         raise TechnologyError(
             "stacked technologies must share feature_size_um, min_width_um "
-            "and metal_layers (these define the design, not the sample)"
+            "and metal_layers (these define the design, not the sample); "
+            "to compare technology nodes, sweep them on Axis.technology"
         )
     base = techs[0]
     return TechnologyArray(

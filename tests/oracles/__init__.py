@@ -7,12 +7,14 @@ equivalence suites and the engine benchmarks compare against:
 
 * :mod:`.rings` — one :meth:`~repro.oscillator.RingOscillator.period`
   call per temperature (and one ring rebind per technology sample),
-  plus the studies built on it: Monte-Carlo, the Fig. 2 sizing sweep,
-  the Fig. 3 cell-mix candidate, the supply finite difference and the
-  per-node scaling study;
+  the per-sample ``period_matrix`` loop, the per-configuration loop of
+  a :class:`~repro.oscillator.ConfigurationBank`, plus the studies
+  built on them: Monte-Carlo, the Fig. 2 sizing sweep, the Fig. 3
+  cell-mix candidate, the supply finite difference and the per-node
+  scaling study;
 * :mod:`.sensors` — one counter conversion per temperature, one smart
-  sensor per bank site, the multiplexer scan and the per-sample
-  calibration study;
+  sensor per bank site, the per-site period loop, the multiplexer scan
+  and the per-sample calibration study;
 * :mod:`.thermal` — one steady-state solve per self-heating duty cycle.
 
 Each oracle returns the same result type as the function it pins, so a
@@ -21,7 +23,9 @@ test compares the two field by field.
 
 from .rings import (
     analytical_response_scalar,
+    configuration_period_tensor_loop,
     evaluate_configuration_scalar,
+    period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
     run_monte_carlo_scalar,
@@ -34,6 +38,7 @@ from .sensors import (
     monitor_scan_scalar,
     run_calibration_study_scalar,
     scan_loop,
+    site_period_tensor_loop,
     transfer_function_scalar,
     worst_case_error_c_scalar,
 )
@@ -41,10 +46,12 @@ from .thermal import duty_cycle_study_scalar, run_selfheating_study_scalar
 
 __all__ = [
     "analytical_response_scalar",
+    "configuration_period_tensor_loop",
     "duty_cycle_study_scalar",
     "evaluate_configuration_scalar",
     "measurement_errors_scalar",
     "monitor_scan_scalar",
+    "period_matrix_loop",
     "period_matrix_scalar",
     "period_series_scalar",
     "run_calibration_study_scalar",
@@ -52,6 +59,7 @@ __all__ = [
     "run_scaling_study_loop",
     "run_selfheating_study_scalar",
     "scan_loop",
+    "site_period_tensor_loop",
     "supply_sensitivity_scalar",
     "sweep_width_ratio_scalar",
     "transfer_function_scalar",

@@ -21,6 +21,7 @@ from repro.optimize.sizing import (
     SizingSweepResult,
     build_sized_ring,
 )
+from repro.oscillator.bank import ConfigurationBank
 from repro.oscillator.config import RingConfiguration
 from repro.oscillator.period import (
     TemperatureResponse,
@@ -54,6 +55,43 @@ def period_matrix_scalar(
     for row, tech in enumerate(technologies):
         matrix[row] = period_series_scalar(ring.rebind(tech), temps)
     return matrix
+
+
+def period_matrix_loop(
+    ring: RingOscillator,
+    technologies: Sequence,
+    temperatures_c: Sequence[float],
+) -> np.ndarray:
+    """Per-sample reference path of ``RingOscillator.period_matrix``.
+
+    Re-binds the ring to each technology in turn and evaluates the
+    vectorized temperature axis once per sample.
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    if isinstance(technologies, TechnologyArray):
+        technologies = technologies.technologies()
+    matrix = np.zeros((len(technologies), temps.size))
+    for row, tech in enumerate(technologies):
+        matrix[row] = ring.rebind(tech).period_series(temps)
+    return matrix
+
+
+def configuration_period_tensor_loop(
+    bank: ConfigurationBank,
+    temperatures_c: Sequence[float],
+    technologies=None,
+) -> np.ndarray:
+    """Per-configuration reference path of ``ConfigurationBank.period_tensor``.
+
+    Evaluates one ring at a time through the stacked delay path
+    (``RingOscillator.period_series`` / ``RingOscillator.period_matrix``).
+    """
+    temps = np.asarray(temperatures_c, dtype=float)
+    if technologies is None:
+        return np.stack([ring.period_series(temps) for ring in bank.rings()])
+    return np.stack(
+        [ring.period_matrix(technologies, temps) for ring in bank.rings()]
+    )
 
 
 def analytical_response_scalar(

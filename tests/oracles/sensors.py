@@ -71,6 +71,26 @@ def worst_case_error_c_scalar(
     return float(np.max(np.abs(measurement_errors_scalar(sensor, temperatures_c))))
 
 
+def site_period_tensor_loop(
+    bank: SensorBank, junction_temperatures_c, technologies=None
+) -> np.ndarray:
+    """Per-site (and per-sample) reference path of ``SensorBank.period_tensor``.
+
+    One scalar ring evaluation per site — and, with a population, one
+    ring rebind per sample.
+    """
+    temps = bank._site_temperatures(junction_temperatures_c)
+    if technologies is None:
+        return np.asarray([bank.ring.period(float(t)) for t in temps])
+    if isinstance(technologies, TechnologyArray):
+        technologies = technologies.technologies()
+    matrix = np.zeros((bank.site_count, len(technologies)))
+    for column, technology in enumerate(technologies):
+        ring = bank.ring.rebind(technology)
+        matrix[:, column] = [ring.period(float(t)) for t in temps]
+    return matrix
+
+
 def scan_loop(
     bank: SensorBank,
     junction_temperatures_c,

@@ -25,6 +25,7 @@ from repro.tech import CMOS035, sample_technology_array
 from repro.tech.corners import corner_technologies, sample_technologies
 from tests.oracles import (
     evaluate_configuration_scalar,
+    period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
     run_monte_carlo_scalar,
@@ -100,8 +101,8 @@ def test_period_matrix_rows_match_per_sample_scalar(temps, seed):
 @given(temps=temperature_grids, seed=technology_seeds)
 @settings(**DEFAULT_SETTINGS)
 def test_period_matrix_stacked_matches_retained_loop(temps, seed):
-    # The PR 1 per-sample rebind loop is retained as period_matrix_loop;
-    # the stacked default must reproduce it (see also
+    # The per-sample rebind loop is the period_matrix_loop oracle; the
+    # stacked path must reproduce it (see also
     # tests/test_stacked_equivalence.py for the full sample-axis harness).
     ring = RingOscillator(
         default_library(CMOS035), RingConfiguration.parse("2INV+3NAND2")
@@ -109,7 +110,7 @@ def test_period_matrix_stacked_matches_retained_loop(temps, seed):
     technologies = sample_technologies(CMOS035, 3, seed=seed)
     assert relative_error(
         ring.period_matrix(technologies, temps),
-        ring.period_matrix_loop(technologies, temps),
+        period_matrix_loop(ring, technologies, temps),
     ) <= RTOL
 
 

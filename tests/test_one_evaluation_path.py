@@ -2,7 +2,8 @@
 
 The loops the broadcast paths replaced are reference oracles in
 ``tests/oracles/``; no public function or method of :mod:`repro` may
-grow a switch back to them.
+grow a switch back to them, and no public class may keep one as a
+``*_loop`` method.
 """
 
 import importlib
@@ -16,6 +17,11 @@ import repro.engine
 
 #: Parameter names that select an evaluation mode instead of an input.
 MODE_SWITCHES = {"scalar", "vectorized", "evaluator", "use_technology_axis"}
+
+#: The one ``*_loop`` method the package keeps: the thermal operator's
+#: column-at-a-time solve, whose oracle needs the iterative solver's
+#: private CG state.
+ALLOWED_LOOP_METHODS = {"ThermalOperator.solve_columns_loop"}
 
 
 def _public_modules():
@@ -59,6 +65,25 @@ def test_no_public_callable_takes_an_evaluation_mode_switch():
             offenders.append(f"{qualname}({', '.join(sorted(switches))})")
     assert checked > 300  # the walk really reached the package's API
     assert offenders == []
+
+
+def test_no_public_class_keeps_a_loop_method():
+    classes = set()
+    loops = set()
+    for module in [repro, *_public_modules()]:
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not inspect.isclass(obj):
+                continue
+            if not getattr(obj, "__module__", "").startswith("repro."):
+                continue
+            classes.add(obj)
+            loops.update(
+                f"{obj.__name__}.{attr}"
+                for attr in vars(obj)
+                if attr.endswith("_loop") and not attr.startswith("_")
+            )
+    assert len(classes) > 50  # the walk really reached the package's classes
+    assert sorted(loops - ALLOWED_LOOP_METHODS) == []
 
 
 @pytest.mark.parametrize("package", [repro, repro.engine], ids=lambda p: p.__name__)

@@ -18,7 +18,12 @@ from repro.core.sensor_bank import BankCalibration
 from repro.engine import Axis, Sweep, SweepError
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
-from tests.oracles import monitor_scan_scalar, scan_loop, transfer_function_scalar
+from tests.oracles import (
+    monitor_scan_scalar,
+    scan_loop,
+    site_period_tensor_loop,
+    transfer_function_scalar,
+)
 
 RTOL = 1e-9
 
@@ -84,7 +89,7 @@ class TestBankedScanEquivalence:
         temps = np.linspace(40.0, 120.0, bank.site_count)
         population = sample_technology_array(CMOS035, 4, seed=11)
         stacked = bank.period_tensor(temps, technologies=population)
-        looped = bank.period_tensor_loop(temps, technologies=population)
+        looped = site_period_tensor_loop(bank, temps, technologies=population)
         assert stacked.shape == looped.shape == (bank.site_count, 4)
         assert np.max(np.abs(stacked - looped) / looped) <= RTOL
 
@@ -271,3 +276,11 @@ class TestSiteAxisThroughSweep:
                 .over(Axis.configuration({"5INV": RingConfiguration.uniform("INV", 5)}))
                 .plan()
             )
+
+
+def test_site_bank_technology_compared_by_value(bank):
+    # A technology= sharing only the bank's node name is different
+    # physics; the plan must refuse it rather than evaluate the bank's.
+    with pytest.raises(SweepError, match="would mix the two"):
+        Sweep(technology=bank.technology.with_supply(2.5)).over(Axis.site(bank)).plan()
+    Sweep(technology=bank.technology).over(Axis.site(bank)).plan()

@@ -36,7 +36,7 @@ from repro.serve.protocol import (
     E_UNKNOWN_OP,
     E_VERSION,
 )
-from repro.tech import CMOS035, register_technology
+from repro.tech import CMOS035, register_technology, sample_technology_array
 
 TEMPS = [-40.0, 25.0, 125.0]
 
@@ -270,6 +270,80 @@ def test_malformed_and_invalid_requests_return_structured_errors(server, client)
 
     # After all the rejections the connection still answers.
     assert client.ping()["ok"] is True
+
+
+def _with_base(field, value):
+    spec = small_sweep().to_dict()
+    spec["base"][field] = value
+    return spec
+
+
+def _with_axis_field(sweep, axis_name, field, value):
+    spec = sweep.to_dict()
+    for axis in spec["axes"]:
+        if axis["name"] == axis_name:
+            axis[field] = value
+    return spec
+
+
+def _sample_sweep():
+    return (
+        Sweep(technology=CMOS035, configuration="5INV")
+        .over(Axis.sample(sample_technology_array(CMOS035, 2, seed=1)))
+        .over(Axis.temperature(TEMPS))
+    )
+
+
+def _width_ratio_sweep():
+    return (
+        Sweep(technology=CMOS035)
+        .over(Axis.width_ratio([2.0]))
+        .over(Axis.temperature(TEMPS))
+    )
+
+
+MALFORMED_SPECS = {
+    "wire-length-not-a-number": lambda: _with_base("wire_length_um", "abc"),
+    "wire-length-negative": lambda: _with_base("wire_length_um", -5),
+    "tap-stage-not-a-number": lambda: _with_base("tap_stage", "x"),
+    "tap-stage-outside-ring": lambda: _with_base("tap_stage", 99),
+    "tap-stage-non-integral": lambda: _with_base("tap_stage", 2.7),
+    "external-load-list": lambda: _with_base("external_load_f", [1]),
+    "configuration-number": lambda: _with_base("configuration", 5),
+    "temperature-null": lambda: _with_axis_field(
+        small_sweep(), "temperature", "coordinates", None
+    ),
+    "temperature-string": lambda: _with_axis_field(
+        small_sweep(), "temperature", "coordinates", "ab"
+    ),
+    "sample-columns-string": lambda: _with_axis_field(
+        _sample_sweep(), "sample", "columns", "x"
+    ),
+    "sample-technology-number": lambda: _with_axis_field(
+        _sample_sweep(), "sample", "technology", 3
+    ),
+    "stage-count-zero": lambda: _with_axis_field(
+        _width_ratio_sweep(), "width_ratio", "stage_count", 0
+    ),
+    "stage-count-string": lambda: _with_axis_field(
+        _width_ratio_sweep(), "width_ratio", "stage_count", "x"
+    ),
+    "stage-count-non-integral": lambda: _with_axis_field(
+        _width_ratio_sweep(), "width_ratio", "stage_count", 5.5
+    ),
+    "nmos-width-negative": lambda: _with_axis_field(
+        _width_ratio_sweep(), "width_ratio", "nmos_width_um", -1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_SPECS))
+def test_malformed_spec_answers_bad_spec_and_server_keeps_serving(client, case):
+    with pytest.raises(ServeError) as caught:
+        client.sweep_payload(MALFORMED_SPECS[case]())
+    assert caught.value.code == E_BAD_SPEC
+    sweep = small_sweep()
+    assert client.sweep_payload(sweep) == sweep.run().to_dict()
 
 
 def test_disagreeing_registries_fail_with_tech_mismatch(server, client):

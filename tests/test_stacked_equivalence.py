@@ -1,11 +1,11 @@
 """Equivalence harness for the stacked technology-sample axis.
 
-PR 1 pinned the vectorized *temperature* axis to the scalar oracle;
-these tests pin the *sample* axis introduced by the struct-of-arrays
+The vectorized *temperature* axis is pinned to the scalar oracle
+elsewhere; these tests pin the *sample* axis of the struct-of-arrays
 technology populations (:mod:`repro.tech.stacked`): the stacked
-``period_matrix`` against the retained per-sample rebind loop
-(:meth:`~repro.oscillator.ring.RingOscillator.period_matrix_loop`), the
-vectorized Monte-Carlo sampler against the looped one, and the batched
+``period_matrix`` against the per-sample rebind loop
+(``tests.oracles.period_matrix_loop``), the vectorized Monte-Carlo
+sampler against the looped one, and the batched
 calibration / supply / self-heating studies against their per-sample
 scalar oracles (``tests/oracles/``) — to the same 1e-9 relative
 contract on periods.
@@ -38,6 +38,7 @@ from repro.tech import (
 )
 from tests.oracles import (
     measurement_errors_scalar,
+    period_matrix_loop,
     period_matrix_scalar,
     period_series_scalar,
     run_calibration_study_scalar,
@@ -152,7 +153,7 @@ def test_period_matrix_stacked_matches_loop(configuration, temps, seed):
     ring = RingOscillator(default_library(CMOS035), configuration)
     technologies = sample_technologies(CMOS035, 4, seed=seed)
     stacked = ring.period_matrix(technologies, temps)
-    looped = ring.period_matrix_loop(technologies, temps)
+    looped = period_matrix_loop(ring, technologies, temps)
     assert stacked.shape == (4, temps.size)
     assert relative_error(stacked, looped) <= RTOL
 
@@ -164,7 +165,7 @@ def test_period_matrix_accepts_technology_array_directly():
     temps = np.linspace(-50.0, 150.0, 21)
     population = sample_technology_array(CMOS035, 6, seed=3)
     stacked = ring.period_matrix(population, temps)
-    looped = ring.period_matrix_loop(population, temps)
+    looped = period_matrix_loop(ring, population, temps)
     assert relative_error(stacked, looped) <= RTOL
 
 
@@ -176,7 +177,7 @@ def test_period_matrix_over_corners_matches_loop():
     temps = np.linspace(-50.0, 150.0, 41)
     assert relative_error(
         ring.period_matrix(technologies, temps),
-        ring.period_matrix_loop(technologies, temps),
+        period_matrix_loop(ring, technologies, temps),
     ) <= RTOL
 
 
@@ -252,20 +253,23 @@ def test_calibration_study_degenerate_sweep_raises_like_oracle():
         )
 
 
-def test_period_matrix_mixed_geometry_falls_back_to_loop():
-    # Lists the stacker rejects (different geometry scalars, e.g. when
-    # comparing technology nodes) must still evaluate via the
-    # per-sample path, as they did before the stacked axis existed.
+def test_period_matrix_mixed_nodes_raise():
+    # A list mixing technology nodes (different geometry scalars) has no
+    # stacked form; period_matrix rejects it and points at the sweep
+    # axis that compares nodes.
     from repro.tech import CMOS018
 
     ring = RingOscillator(
         default_library(CMOS035), RingConfiguration.uniform("INV", 5)
     )
     temps = np.linspace(-50.0, 150.0, 9)
-    mixed = [CMOS035, CMOS018]
-    matrix = ring.period_matrix(mixed, temps)
-    assert matrix.shape == (2, temps.size)
-    assert relative_error(matrix, ring.period_matrix_loop(mixed, temps)) <= RTOL
+    with pytest.raises(TechnologyError, match="Axis.technology"):
+        ring.period_matrix([CMOS035, CMOS018], temps)
+
+
+def test_stack_technologies_returns_a_stacked_array_unchanged():
+    population = sample_technology_array(CMOS035, 4, seed=2)
+    assert stack_technologies(population) is population
 
 
 def test_supply_sensitivity_stacked_matches_rebuild_loop():

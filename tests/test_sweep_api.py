@@ -29,7 +29,11 @@ from repro.oscillator import (
 )
 from repro.oscillator.period import TemperatureResponse
 from repro.tech import CMOS035, sample_technology_array
-from tests.oracles import period_series_scalar
+from tests.oracles import (
+    configuration_period_tensor_loop,
+    period_matrix_loop,
+    period_series_scalar,
+)
 
 #: The acceptance bound on broadcast-vs-loop relative period error.
 RTOL = 1e-9
@@ -228,12 +232,12 @@ class TestConfigurationAxisGolden:
 
     def test_scalar_technology_matrix(self, bank, temps):
         assert relative_error(
-            bank.period_tensor(temps), bank.period_tensor_loop(temps)
+            bank.period_tensor(temps), configuration_period_tensor_loop(bank, temps)
         ) <= RTOL
 
     def test_full_cross_product_tensor(self, bank, temps, population):
         tensor = bank.period_tensor(temps, technologies=population)
-        loop = bank.period_tensor_loop(temps, technologies=population)
+        loop = configuration_period_tensor_loop(bank, temps, technologies=population)
         assert tensor.shape == (len(PAPER_FIG3_CONFIGURATIONS), 50, temps.size)
         assert relative_error(tensor, loop) <= RTOL
 
@@ -261,7 +265,7 @@ class TestConfigurationAxisGolden:
         assert mask[0].sum() == 3 and mask[1].sum() == 5
         temps = np.linspace(-40.0, 120.0, 9)
         assert relative_error(
-            bank.period_tensor(temps), bank.period_tensor_loop(temps)
+            bank.period_tensor(temps), configuration_period_tensor_loop(bank, temps)
         ) <= RTOL
 
     def test_duplicate_labels_rejected(self):
@@ -307,7 +311,7 @@ def test_sweep_configuration_axis_matches_per_config_loop(configs, seed):
         ring = RingOscillator(library, config)
         assert relative_error(
             result.select(configuration=config.label()).values,
-            ring.period_matrix_loop(population, temps),
+            period_matrix_loop(ring, population, temps),
         ) <= RTOL
 
 
@@ -403,31 +407,45 @@ def test_observables_are_grid_order_invariant(mixed_ring):
         )
 
 
-def test_supply_with_unstackable_samples_falls_back_to_loop():
+def test_supply_with_mixed_node_samples_raises():
     # Mixed technology nodes cannot stack (different geometry scalars);
-    # the supply x sample cross product must fall back to the
-    # per-sample loop instead of crashing.
+    # the sample axis rejects them up front and points at the axis that
+    # compares nodes.
     from repro.tech import CMOS025
 
-    result = (
-        Sweep(configuration="5INV")
-        .over(Axis.supply([3.3, 3.0]))
-        .over(Axis.sample([CMOS035, CMOS025]))
-        .over(Axis.temperature([0.0, 50.0, 100.0]))
-        .run()
-    )
-    assert result.shape == (2, 2, 3)
-    # The fallback keeps the sweep's base ring (built in the default
-    # technology) and rebinds it per sample, exactly like period_matrix.
-    base_ring = RingOscillator(
-        default_library(CMOS035), RingConfiguration.uniform("INV", 5)
-    )
-    reference = base_ring.rebind(CMOS025.with_supply(3.0)).period_series(
-        np.asarray([0.0, 50.0, 100.0])
-    )
-    assert relative_error(
-        result.select(supply=3.0, sample=1).values, reference
-    ) <= RTOL
+    with pytest.raises(SweepError, match="Axis.technology"):
+        (
+            Sweep(configuration="5INV")
+            .over(Axis.supply([3.3, 3.0]))
+            .over(Axis.sample([CMOS035, CMOS025]))
+            .over(Axis.temperature([0.0, 50.0, 100.0]))
+            .run()
+        )
+
+
+def test_non_integral_tap_stage_and_stage_count_are_rejected():
+    # Truncating 2.7 to 2 would give the request tap_stage=2's cache key.
+    with pytest.raises(SweepError, match="tap_stage"):
+        Sweep(configuration="5INV", tap_stage=2.7)
+    with pytest.raises(SweepError, match="stage_count"):
+        Axis.width_ratio([2.0], stage_count=5.5)
+    assert Sweep(configuration="5INV", tap_stage=2.0).to_dict()["base"]["tap_stage"] == 2
+    assert Axis.width_ratio([2.0], stage_count=7.0).payload["stage_count"] == 7
+
+
+def test_technology_and_library_compared_by_value():
+    # Same node name, different physics: the library's technology would
+    # silently win, so the plan must refuse the pair.
+    with pytest.raises(SweepError, match="would mix the two"):
+        Sweep(
+            technology=CMOS035.with_supply(2.5),
+            library=default_library(CMOS035),
+            configuration="5INV",
+        ).plan()
+    # A value-equal pair is one context, not a mix.
+    Sweep(
+        technology=CMOS035, library=default_library(CMOS035), configuration="5INV"
+    ).plan()
 
 
 def test_invalid_axis_combinations_rejected(mixed_ring):

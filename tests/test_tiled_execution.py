@@ -233,10 +233,13 @@ def test_configuration_axis_without_splittable_axes_still_runs():
     assert_results_equal(tiled, dense)
 
 
-def test_per_sample_technology_list_payload_tiles():
-    from repro.tech import CMOS013, CMOS018, CMOS025
+def test_technology_list_payload_tiles():
+    # A plain list of same-node Technology samples is stacked once by
+    # Axis.sample; its tiles slice that population like any other.
+    from repro.tech import TechnologyArray, sample_technologies
 
-    technologies = [CMOS035, CMOS025, CMOS018, CMOS013, CMOS035]
+    technologies = sample_technologies(CMOS035, 5, seed=17)
+    assert isinstance(Axis.sample(technologies).payload, TechnologyArray)
 
     def build():
         return (
