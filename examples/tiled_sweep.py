@@ -22,11 +22,7 @@ This example
    result at all, and checks them against the dense numbers,
 3. measures the multiprocess backend's speedup over serial tiles on a
    large population (shared-memory transport of the technology columns;
-   the speedup only shows on a multi-core machine), and
-4. shows the environment knobs (``REPRO_SWEEP_EXECUTOR``,
-   ``REPRO_SWEEP_WORKERS``, ``REPRO_SWEEP_TILE_ELEMENTS``) that route
-   every ``Sweep.run`` in a process through a backend without touching
-   call sites.
+   the speedup only shows on a multi-core machine).
 
 Run with:  python examples/tiled_sweep.py
 """
@@ -140,15 +136,6 @@ def main() -> None:
           f"(speedup {serial_s / parallel_s:4.2f}x, bitwise identical: {identical})")
     if workers < 2:
         print("  (run on a multi-core machine to see the speedup)")
-
-    # ------------------------------------------------------------------ #
-    # 4. the environment knobs
-    # ------------------------------------------------------------------ #
-    print("\nEnvironment-selected default backend:")
-    print("  REPRO_SWEEP_EXECUTOR=process REPRO_SWEEP_WORKERS=4 python ...")
-    print("  routes every Sweep.run() through the pool — the CI lane runs")
-    print("  the whole fast test suite that way, and the experiment CLI")
-    print("  exposes the same knobs as --executor/--workers/--tile-elements.")
 
 
 if __name__ == "__main__":

@@ -133,46 +133,6 @@ oracles (``tests/oracles/``), and the equivalence suites
 ``tests/test_stacked_equivalence.py``, ``tests/test_sweep_api.py``)
 pin every broadcast path to them at a relative tolerance of 1e-9 on
 periods.
-
-Environment knobs
------------------
-
-Every runtime knob the package reads from the environment, in one
-place.  Command-line flags (``repro-experiments``, ``repro-serve``)
-win over these; explicit keyword arguments in code win over both.
-
-=========================================  ==================================================
-variable                                   meaning (default)
-=========================================  ==================================================
-``REPRO_SWEEP_EXECUTOR``                   sweep execution backend: ``dense`` | ``serial`` |
-                                           ``process`` | ``memmap`` (``dense``)
-``REPRO_SWEEP_WORKERS``                    worker count of the ``process`` backend
-                                           (cpu count)
-``REPRO_SWEEP_TILE_ELEMENTS``              per-tile element budget of tiled backends
-                                           (``2**20``, an 8 MiB tile)
-``REPRO_THERMAL_METHOD``                   resolve ``auto`` thermal solves to ``direct`` |
-                                           ``iterative`` | ``multigrid`` (size-based choice)
-``REPRO_THERMAL_ITERATIVE_THRESHOLD``      unknown count where ``auto`` thermal solves go
-                                           iterative (operator's built-in threshold)
-``REPRO_SERVE_HOST``                       sweep-service bind address (``127.0.0.1``)
-``REPRO_SERVE_PORT``                       sweep-service bind port, 0 = ephemeral (``7753``)
-``REPRO_SERVE_WORKERS``                    concurrent service evaluation slots; above 1,
-                                           evaluations route through a shared process
-                                           pool of the same size (1)
-``REPRO_SERVE_QUEUE_DEPTH``                bounded service evaluation-queue depth; beyond
-                                           it requests fail fast with ``busy`` (128)
-``REPRO_SERVE_CACHE_BYTES``                service memory result-cache budget in payload
-                                           bytes (64 MiB)
-``REPRO_SERVE_CACHE_DIR``                  service disk-cache directory; results persist
-                                           across restarts and between servers sharing
-                                           it (unset = memory only)
-``REPRO_SERVE_DISK_CACHE_BYTES``           service disk-tier byte budget, LRU-evicted by
-                                           file mtime (1 GiB)
-``REPRO_SERVE_BATCH_WINDOW_MS``            service coalescing window for point queries
-                                           and overlapping sweeps (5 ms)
-``REPRO_SERVE_STREAM_THRESHOLD_BYTES``     encoded result size where service responses
-                                           switch to tile streaming (1 MiB)
-=========================================  ==================================================
 """
 
 from .tech import (

@@ -13,8 +13,8 @@ chunks, and this module runs the chunks:
   shared-memory block (:mod:`multiprocessing.shared_memory`) and are
   rebuilt zero-copy per worker, so the per-tile pickle payload is the
   small plan skeleton — not the population.  Worker pools are reused
-  across runs (keyed by start method and size) so repeated sweeps pay
-  worker startup once.
+  across runs (keyed by size) so repeated sweeps pay worker startup
+  once.
 * :class:`MemmapExecutor` — the out-of-core backend: tiles run serially
   but the assembled result lives in an ``np.memmap``-backed array, so a
   sweep whose dense tensor exceeds RAM (or the configured
@@ -27,17 +27,13 @@ chunks, and this module runs the chunks:
 ``(tile, values)`` pairs out of the backend, assembles them into a
 labeled :class:`~repro.engine.sweep.SweepResult` (or feeds streaming
 reducers, never materializing the tensor).  :func:`resolve_executor`
-maps explicit arguments and the ``REPRO_SWEEP_EXECUTOR`` /
-``REPRO_SWEEP_WORKERS`` environment variables (the CI lane's way of
-routing the whole test suite through a backend) onto concrete
-executors.
+maps an explicit ``executor=`` argument (``None``, a backend name or an
+instance) onto a concrete executor; ``None`` is the dense path.
 
 Fork/pickle semantics: worker processes never receive thermal
 factorizations or operator caches — those are process-local (see
 :mod:`repro.thermal.operator`); a worker warms its own cache from the
-tiles it executes.  Nested parallelism is disabled inside workers (a
-tile evaluates densely even if the environment selects the process
-backend).
+tiles it executes.  A worker evaluates each tile densely.
 """
 
 from __future__ import annotations
@@ -71,19 +67,6 @@ __all__ = [
     "resolve_executor",
     "run_plan",
 ]
-
-#: Environment variable naming the default backend (``serial`` /
-#: ``process`` / ``memmap``; ``dense`` or empty keeps the single-pass
-#: in-memory evaluation).  Lets a CI lane or deployment route every
-#: ``Sweep.run()`` through a backend without touching call sites.
-EXECUTOR_ENV = "REPRO_SWEEP_EXECUTOR"
-#: Worker count of an environment-selected process backend.
-WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-#: Default per-tile element budget when a tiled execution is requested
-#: without an explicit ``max_tile_elements`` (the CLI's
-#: ``--tile-elements`` flag sets this for a whole experiment run).
-TILE_ELEMENTS_ENV = "REPRO_SWEEP_TILE_ELEMENTS"
-
 
 class Executor:
     """Protocol of a tiled-execution backend.
@@ -135,18 +118,16 @@ class MemmapExecutor(SerialExecutor):
         self,
         path: Optional[str] = None,
         memory_budget_bytes: int = 64 << 20,
-        dir: Optional[str] = None,
     ) -> None:
         if int(memory_budget_bytes) < 8:
             raise SweepError("memory_budget_bytes must cover at least one element")
         self.path = path
         self.memory_budget_bytes = int(memory_budget_bytes)
-        self.dir = dir
 
     def allocate(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
         if self.path is not None:
             return np.memmap(self.path, dtype=dtype, mode="w+", shape=shape)
-        handle = tempfile.TemporaryFile(prefix="sweep-", suffix=".tile", dir=self.dir)
+        handle = tempfile.TemporaryFile(prefix="sweep-", suffix=".tile")
         # TemporaryFile is already unlinked on POSIX: the mapping (and
         # its disk space) disappears with the last reference.
         return np.memmap(handle, dtype=dtype, mode="w+", shape=shape)
@@ -161,18 +142,6 @@ class MemmapExecutor(SerialExecutor):
 class _SharedPopulation:
     """Marker payload: the sample axis's population travels via shared
     memory, not the pickled plan skeleton."""
-
-
-def _preferred_start_method() -> Optional[str]:
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else None
-
-
-def _worker_initializer() -> None:
-    # A tile must evaluate densely inside a worker even when the parent
-    # environment routes sweeps through the process backend — nested
-    # pools would deadlock-or-fork-bomb.
-    os.environ[EXECUTOR_ENV] = "dense"
 
 
 def _attach_shared_memory(name: str):
@@ -285,10 +254,10 @@ def _run_remote_tile(plan: SweepPlan, tile: Tile, meta) -> np.ndarray:
             pass
 
 
-#: Reused worker pools, keyed by (start method, worker count).  Reuse
-#: amortizes worker startup across the many small sweeps of a test lane
-#: or a sweep service; pools are torn down at interpreter exit.
-_POOLS: Dict[Tuple[Optional[str], int], _PoolImpl] = {}
+#: Reused worker pools, keyed by worker count.  Reuse amortizes worker
+#: startup across the many small sweeps of a test lane or a sweep
+#: service; pools are torn down at interpreter exit.
+_POOLS: Dict[int, _PoolImpl] = {}
 
 
 def _shutdown_pools() -> None:  # pragma: no cover - exit hook
@@ -318,37 +287,22 @@ class ProcessExecutor(Executor):
 
     name = "process"
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        reuse: bool = True,
-    ) -> None:
-        workers = int(max_workers) if max_workers else (os.cpu_count() or 1)
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        workers = (os.cpu_count() or 1) if max_workers is None else int(max_workers)
         if workers < 1:
             raise SweepError("max_workers must be at least 1")
         self.max_workers = workers
-        self.start_method = (
-            start_method if start_method is not None else _preferred_start_method()
-        )
-        self.reuse = reuse
 
     def _pool(self) -> _PoolImpl:
-        key = (self.start_method, self.max_workers)
-        pool = _POOLS.get(key) if self.reuse else None
+        pool = _POOLS.get(self.max_workers)
         if pool is None:
             context = (
-                multiprocessing.get_context(self.start_method)
-                if self.start_method
+                multiprocessing.get_context("fork")
+                if "fork" in multiprocessing.get_all_start_methods()
                 else None
             )
-            pool = _PoolImpl(
-                max_workers=self.max_workers,
-                mp_context=context,
-                initializer=_worker_initializer,
-            )
-            if self.reuse:
-                _POOLS[key] = pool
+            pool = _PoolImpl(max_workers=self.max_workers, mp_context=context)
+            _POOLS[self.max_workers] = pool
         return pool
 
     def prewarm(self) -> None:
@@ -365,9 +319,8 @@ class ProcessExecutor(Executor):
 
     def _evict(self, pool: _PoolImpl) -> None:
         """Drop a broken pool from the reuse cache (if it is still there)."""
-        key = (self.start_method, self.max_workers)
-        if _POOLS.get(key) is pool:
-            del _POOLS[key]
+        if _POOLS.get(self.max_workers) is pool:
+            del _POOLS[self.max_workers]
         pool.shutdown(wait=False, cancel_futures=True)
 
     def run_tiles(self, tiling: TilingPlan) -> Iterator[Tuple[Tile, np.ndarray]]:
@@ -393,8 +346,6 @@ class ProcessExecutor(Executor):
                 self._evict(pool)
                 raise
         finally:
-            if not self.reuse:
-                pool.shutdown(wait=True, cancel_futures=True)
             if shm is not None:
                 shm.close()
                 shm.unlink()
@@ -423,19 +374,14 @@ def make_executor(name: str, max_workers: Optional[int] = None) -> Executor:
 
 
 def resolve_executor(executor: Any) -> Optional[Executor]:
-    """Resolve an executor argument (or the environment) to a backend.
+    """Resolve an executor argument to a backend.
 
-    ``None`` consults :data:`EXECUTOR_ENV`; an unset/empty/``dense``
-    value means "no backend" (the dense single-pass path).  Strings name
-    a backend; executor instances pass through.
+    ``None`` (or the name ``dense``) means "no backend": the dense
+    single-pass path.  Other strings name a backend; executor instances
+    pass through.
     """
     if executor is None:
-        name = os.environ.get(EXECUTOR_ENV, "").strip().lower()
-        if not name or name in ("dense", "none"):
-            return None
-        workers_env = os.environ.get(WORKERS_ENV, "").strip()
-        workers = int(workers_env) if workers_env else None
-        return make_executor(name, max_workers=workers)
+        return None
     if isinstance(executor, str):
         if executor.strip().lower() in ("dense", "none"):
             return None
@@ -492,10 +438,6 @@ def run_plan(
         executor = SerialExecutor()
     if memory_budget_bytes is None:
         memory_budget_bytes = getattr(executor, "memory_budget_bytes", None)
-    if max_tile_elements is None:
-        tile_env = os.environ.get(TILE_ELEMENTS_ENV, "").strip()
-        if tile_env:
-            max_tile_elements = int(tile_env)
     tiling = plan_tiles(
         plan,
         max_tile_elements=max_tile_elements,

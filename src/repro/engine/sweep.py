@@ -1596,9 +1596,9 @@ class SweepPlan:
     ) -> SweepResult:
         """Evaluate the plan and label the result.
 
-        With no arguments (and no ``REPRO_SWEEP_EXECUTOR`` environment
-        override) this is the dense in-memory single-pass evaluation —
-        the reference semantics every other path must bit-match.
+        With no arguments this is the dense in-memory single-pass
+        evaluation — the reference semantics every other path must
+        bit-match.
 
         ``executor`` selects a tiled execution backend (an
         :class:`~repro.engine.executors.Executor` instance, or one of

@@ -128,7 +128,7 @@ def run_thermal_map_study(
     statistics over the population.  ``executor`` /
     ``max_tile_elements`` select a tiled execution backend for the
     scans (see :meth:`repro.engine.Sweep.run`); the defaults keep the
-    dense path (or whatever ``REPRO_SWEEP_EXECUTOR`` names).
+    dense path.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)

@@ -30,25 +30,25 @@ exceeds the stream threshold leave as a tile stream
 (:func:`~repro.engine.tiling.plan_result_tiles`) instead of one giant
 line.
 
-Every knob is available both as a constructor argument / CLI flag and
-as a ``REPRO_SERVE_*`` environment variable (the flag wins):
+Every knob is a :class:`SweepServer` constructor argument and a
+``repro-serve`` flag of the same name:
 
-========================================  =====================================
-variable                                  meaning
-========================================  =====================================
-``REPRO_SERVE_HOST``                      bind address (default ``127.0.0.1``)
-``REPRO_SERVE_PORT``                      bind port (default ``7753``; 0 = ephemeral)
-``REPRO_SERVE_WORKERS``                   concurrent evaluation slots (default 1;
-                                          >1 routes through a shared process pool)
-``REPRO_SERVE_QUEUE_DEPTH``               bounded evaluation-queue depth (beyond
-                                          it, requests fail fast with ``busy``)
-``REPRO_SERVE_CACHE_BYTES``               memory result-cache budget in payload bytes
-``REPRO_SERVE_CACHE_DIR``                 disk-tier directory: results persist across
-                                          restarts (and between hosts sharing it)
-``REPRO_SERVE_DISK_CACHE_BYTES``          disk-tier byte budget (LRU via mtime)
-``REPRO_SERVE_BATCH_WINDOW_MS``           coalescing window in milliseconds
-``REPRO_SERVE_STREAM_THRESHOLD_BYTES``    payload size that switches to tiles
-========================================  =====================================
+==========================  ===============================================
+argument / flag             meaning
+==========================  ===============================================
+``host``                    bind address (default ``127.0.0.1``)
+``port``                    bind port (default ``7753``; 0 = ephemeral)
+``workers``                 concurrent evaluation slots (default 1;
+                            >1 routes through a shared process pool)
+``queue_depth``             bounded evaluation-queue depth (beyond it,
+                            requests fail fast with ``busy``)
+``cache_bytes``             memory result-cache budget in payload bytes
+``cache_dir``               disk-tier directory: results persist across
+                            restarts (and between hosts sharing it)
+``disk_cache_bytes``        disk-tier byte budget (LRU via mtime)
+``batch_window_ms``         coalescing window in milliseconds
+``stream_threshold_bytes``  payload size that switches to tiles
+==========================  ===============================================
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -104,35 +103,16 @@ from .protocol import (
 from .spec import canonical_key, canonical_spec, encode_canonical, split_temperature
 
 __all__ = [
-    "BATCH_WINDOW_ENV",
-    "CACHE_BYTES_ENV",
-    "CACHE_DIR_ENV",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE_DEPTH",
     "DEFAULT_STREAM_THRESHOLD_BYTES",
     "DEFAULT_WORKERS",
-    "DISK_CACHE_BYTES_ENV",
-    "HOST_ENV",
-    "PORT_ENV",
-    "QUEUE_DEPTH_ENV",
-    "STREAM_THRESHOLD_ENV",
     "ServerHandle",
     "SweepServer",
-    "WORKERS_ENV",
     "main",
     "start_server_thread",
 ]
-
-HOST_ENV = "REPRO_SERVE_HOST"
-PORT_ENV = "REPRO_SERVE_PORT"
-WORKERS_ENV = "REPRO_SERVE_WORKERS"
-QUEUE_DEPTH_ENV = "REPRO_SERVE_QUEUE_DEPTH"
-CACHE_BYTES_ENV = "REPRO_SERVE_CACHE_BYTES"
-CACHE_DIR_ENV = "REPRO_SERVE_CACHE_DIR"
-DISK_CACHE_BYTES_ENV = "REPRO_SERVE_DISK_CACHE_BYTES"
-BATCH_WINDOW_ENV = "REPRO_SERVE_BATCH_WINDOW_MS"
-STREAM_THRESHOLD_ENV = "REPRO_SERVE_STREAM_THRESHOLD_BYTES"
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 7753
@@ -157,16 +137,6 @@ DEFAULT_STREAM_THRESHOLD_BYTES = 1 << 20
 #: shortest round-trip repr plus separators) — converts the stream
 #: threshold into a per-tile element budget.
 _BYTES_PER_VALUE = 32
-
-
-def _env_value(name: str, parse, fallback):
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return fallback
-    try:
-        return parse(raw)
-    except ValueError as error:
-        raise SweepError(f"{name}={raw!r} is not a valid value: {error}") from error
 
 
 class _RequestError(Exception):
@@ -334,51 +304,28 @@ class SweepServer:
 
     def __init__(
         self,
-        host: Optional[str] = None,
-        port: Optional[int] = None,
-        workers: Optional[int] = None,
-        queue_depth: Optional[int] = None,
-        cache_bytes: Optional[int] = None,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
+        workers: int = DEFAULT_WORKERS,
+        queue_depth: int = DEFAULT_QUEUE_DEPTH,
+        cache_bytes: int = DEFAULT_CACHE_BYTES,
         cache_dir: Optional[str] = None,
-        disk_cache_bytes: Optional[int] = None,
-        batch_window_ms: Optional[float] = None,
-        stream_threshold_bytes: Optional[int] = None,
-        run_kwargs: Optional[Mapping[str, Any]] = None,
+        disk_cache_bytes: int = DEFAULT_DISK_CACHE_BYTES,
+        batch_window_ms: float = DEFAULT_BATCH_WINDOW_MS,
+        stream_threshold_bytes: int = DEFAULT_STREAM_THRESHOLD_BYTES,
     ) -> None:
-        self.host = host if host is not None else _env_value(HOST_ENV, str, DEFAULT_HOST)
-        self.port = int(
-            port if port is not None else _env_value(PORT_ENV, int, DEFAULT_PORT)
-        )
-        self.workers = int(
-            workers if workers is not None else _env_value(WORKERS_ENV, int, DEFAULT_WORKERS)
-        )
+        self.host = host
+        self.port = int(port)
+        self.workers = int(workers)
         if self.workers < 1:
             raise SweepError("workers must be at least 1")
-        if queue_depth is None:
-            queue_depth = _env_value(QUEUE_DEPTH_ENV, int, DEFAULT_QUEUE_DEPTH)
-        if cache_bytes is None:
-            cache_bytes = _env_value(CACHE_BYTES_ENV, int, DEFAULT_CACHE_BYTES)
-        if cache_dir is None:
-            cache_dir = _env_value(CACHE_DIR_ENV, str, None)
-        if disk_cache_bytes is None:
-            disk_cache_bytes = _env_value(
-                DISK_CACHE_BYTES_ENV, int, DEFAULT_DISK_CACHE_BYTES
-            )
-        if batch_window_ms is None:
-            batch_window_ms = _env_value(
-                BATCH_WINDOW_ENV, float, DEFAULT_BATCH_WINDOW_MS
-            )
-        if stream_threshold_bytes is None:
-            stream_threshold_bytes = _env_value(
-                STREAM_THRESHOLD_ENV, int, DEFAULT_STREAM_THRESHOLD_BYTES
-            )
         self.stream_threshold_bytes = int(stream_threshold_bytes)
         if self.stream_threshold_bytes < 1:
             raise SweepError("stream_threshold_bytes must be at least 1")
         self.cache_dir = cache_dir
         disk = DiskCache(cache_dir, int(disk_cache_bytes)) if cache_dir else None
         self.cache = ResultCache(int(cache_bytes), disk=disk)
-        self.batcher = MicroBatcher(self._scheduled_evaluate, float(batch_window_ms))
+        self.batcher = MicroBatcher(self._scheduled_evaluate, batch_window_ms)
         # Late binding (not the bound method itself) so a test can
         # swap ``_evaluate_payload`` on the instance to a controlled
         # evaluator and the scheduler picks it up.
@@ -387,7 +334,6 @@ class SweepServer:
             self.workers,
             int(queue_depth),
         )
-        self._run_kwargs = dict(run_kwargs or {})
         #: The shared tile executor of a multi-worker server: every
         #: concurrent evaluation submits its tiles to one reused
         #: process pool (PR 6 shared-memory transport), sized to the
@@ -476,10 +422,7 @@ class SweepServer:
         return await asyncio.to_thread(self._run_sweep, sweep)
 
     def _run_sweep(self, sweep: Sweep) -> SweepResult:
-        kwargs = dict(self._run_kwargs)
-        if self._executor is not None:
-            kwargs.setdefault("executor", self._executor)
-        return sweep.run(**kwargs)
+        return sweep.run(executor=self._executor)
 
     async def _scheduled_evaluate(
         self,
@@ -990,80 +933,77 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--host",
-        default=None,
-        help=f"bind address (default {HOST_ENV} or {DEFAULT_HOST})",
+        default=DEFAULT_HOST,
+        help=f"bind address (default {DEFAULT_HOST})",
     )
     parser.add_argument(
         "--port",
         type=int,
-        default=None,
-        help=f"bind port, 0 for ephemeral (default {PORT_ENV} or {DEFAULT_PORT})",
+        default=DEFAULT_PORT,
+        help=f"bind port, 0 for ephemeral (default {DEFAULT_PORT})",
     )
     parser.add_argument(
         "--workers",
         type=int,
-        default=None,
+        default=DEFAULT_WORKERS,
         help=(
             f"concurrent evaluation slots; above 1, evaluations route "
             f"through a shared process pool of the same size "
-            f"(default {WORKERS_ENV} or {DEFAULT_WORKERS})"
+            f"(default {DEFAULT_WORKERS})"
         ),
     )
     parser.add_argument(
         "--queue-depth",
         type=int,
-        default=None,
+        default=DEFAULT_QUEUE_DEPTH,
         help=(
             f"bounded evaluation-queue depth — beyond it requests fail "
-            f"fast with the 'busy' error code "
-            f"(default {QUEUE_DEPTH_ENV} or {DEFAULT_QUEUE_DEPTH})"
+            f"fast with the 'busy' error code (default {DEFAULT_QUEUE_DEPTH})"
         ),
     )
     parser.add_argument(
         "--cache-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_CACHE_BYTES,
         help=(
             f"memory result-cache budget in payload bytes "
-            f"(default {CACHE_BYTES_ENV} or {DEFAULT_CACHE_BYTES})"
+            f"(default {DEFAULT_CACHE_BYTES})"
         ),
     )
     parser.add_argument(
         "--cache-dir",
         default=None,
         help=(
-            f"disk cache directory — results persist across restarts, "
-            f"and servers sharing the directory share the cache "
-            f"(default {CACHE_DIR_ENV}; unset = memory only)"
+            "disk cache directory — results persist across restarts, "
+            "and servers sharing the directory share the cache "
+            "(default: memory only)"
         ),
     )
     parser.add_argument(
         "--disk-cache-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_DISK_CACHE_BYTES,
         help=(
             f"disk-tier byte budget, LRU-evicted via file mtime "
-            f"(default {DISK_CACHE_BYTES_ENV} or {DEFAULT_DISK_CACHE_BYTES})"
+            f"(default {DEFAULT_DISK_CACHE_BYTES})"
         ),
     )
     parser.add_argument(
         "--batch-window-ms",
         type=float,
-        default=None,
+        default=DEFAULT_BATCH_WINDOW_MS,
         help=(
             f"coalescing window for point queries and overlapping "
-            f"sweeps, in milliseconds "
-            f"(default {BATCH_WINDOW_ENV} or {DEFAULT_BATCH_WINDOW_MS})"
+            f"sweeps, in milliseconds (default {DEFAULT_BATCH_WINDOW_MS})"
         ),
     )
     parser.add_argument(
         "--stream-threshold-bytes",
         type=int,
-        default=None,
+        default=DEFAULT_STREAM_THRESHOLD_BYTES,
         help=(
             f"encoded payload size that switches responses to tile "
-            f"streaming (default {STREAM_THRESHOLD_ENV} or "
-            f"{DEFAULT_STREAM_THRESHOLD_BYTES})"
+            f"streaming (default {DEFAULT_STREAM_THRESHOLD_BYTES})"
         ),
     )
     args = parser.parse_args(argv)

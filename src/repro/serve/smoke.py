@@ -1,4 +1,4 @@
-"""End-to-end service smoke: one server, one client, one round trip.
+"""End-to-end service smoke: both server setups, one client each.
 
 ``python -m repro.serve.smoke`` is the CI fast-lane's service check: it
 starts a real :class:`~repro.serve.server.SweepServer` on an ephemeral
@@ -13,43 +13,34 @@ client, and asserts the service contract end to end —
 * a malformed spec answers ``bad-spec`` and the next sweep is still
   served,
 * ``shutdown`` stops the server cleanly,
-* and, when ``REPRO_SERVE_CACHE_DIR`` is set, a **restarted** server
-  on the same cache directory serves the repeat from disk with zero
-  evaluations — the warm-restart contract.
 
-The server honors every ``REPRO_SERVE_*`` knob, so the CI lane also
-runs this smoke with ``REPRO_SERVE_WORKERS=2`` to cover the
-multi-worker scheduler path.  Exit code 0 means the service path works
-on this interpreter; any assertion or hang (the thread join is
-bounded) fails the step.
+first on the default server (one worker, memory-only cache), then on a
+two-worker server over a fresh temporary disk-cache directory, which
+it restarts to check the warm-restart contract: the new server serves
+the repeat from disk with zero evaluations.  Exit code 0 means the
+service path works on this interpreter; any assertion or hang (the
+thread join is bounded) fails the step.
 """
 
 from __future__ import annotations
 
-import os
 import sys
-from typing import List, Optional
+import tempfile
+from typing import Any, Dict, List, Optional
 
 from ..engine.sweep import Axis, Sweep
 from ..oscillator import RingConfiguration
 from ..tech import CMOS035
 from .client import ServeClient, ServeError
 from .protocol import E_BAD_SPEC
-from .server import CACHE_DIR_ENV, start_server_thread
+from .server import start_server_thread
 
 __all__ = ["main"]
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    del argv  # no options: the smoke is deliberately fixed
-    sweep = (
-        Sweep(technology=CMOS035, configuration=RingConfiguration.parse("5INV"))
-        .over(Axis.temperature([-40.0, 25.0, 125.0]))
-        .observe("period")
-    )
-    local = sweep.run().to_dict()
-
-    handle = start_server_thread(port=0)
+def _check_contract(sweep: Sweep, local: Dict[str, Any], **server_kwargs: Any) -> None:
+    """Round trip, cache hit, point query, bad spec and shutdown."""
+    handle = start_server_thread(**server_kwargs)
     try:
         with ServeClient("127.0.0.1", handle.port) as client:
             pong = client.ping()
@@ -96,25 +87,42 @@ def main(argv: Optional[List[str]] = None) -> int:
     alive = handle.thread is not None and handle.thread.is_alive()
     assert not alive, "server thread survived shutdown"
 
-    checks = "round trip, cache hit, point query, bad spec, shutdown"
-    if os.environ.get(CACHE_DIR_ENV):
-        # Warm restart: a fresh server process state over the same disk
-        # cache must serve the repeat without a single evaluation.
-        restarted = start_server_thread(port=0)
-        try:
-            with ServeClient("127.0.0.1", restarted.port) as client:
-                warm = client.sweep_payload(sweep)
-                assert warm == local, "disk-cached result differs from local"
-                stats = client.stats()
-                assert stats["evaluations"] == 0, (
-                    f"warm restart re-evaluated: {stats['evaluations']}"
-                )
-                assert stats["cache"]["disk"]["hits"] >= 1, stats["cache"]
-                client.shutdown()
-        finally:
-            restarted.stop()
-        checks += ", warm restart from disk"
-    print(f"repro.serve smoke: ok ({checks})")
+
+def _check_warm_restart(sweep: Sweep, local: Dict[str, Any], **server_kwargs: Any) -> None:
+    """A fresh server over a warm disk cache serves with zero evaluations."""
+    restarted = start_server_thread(**server_kwargs)
+    try:
+        with ServeClient("127.0.0.1", restarted.port) as client:
+            warm = client.sweep_payload(sweep)
+            assert warm == local, "disk-cached result differs from local"
+            stats = client.stats()
+            assert stats["evaluations"] == 0, (
+                f"warm restart re-evaluated: {stats['evaluations']}"
+            )
+            assert stats["cache"]["disk"]["hits"] >= 1, stats["cache"]
+            client.shutdown()
+    finally:
+        restarted.stop()
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    del argv  # no options: the smoke is deliberately fixed
+    sweep = (
+        Sweep(technology=CMOS035, configuration=RingConfiguration.parse("5INV"))
+        .over(Axis.temperature([-40.0, 25.0, 125.0]))
+        .observe("period")
+    )
+    local = sweep.run().to_dict()
+
+    _check_contract(sweep, local)
+    with tempfile.TemporaryDirectory(prefix="repro-serve-smoke-") as cache_dir:
+        _check_contract(sweep, local, workers=2, cache_dir=cache_dir)
+        _check_warm_restart(sweep, local, workers=2, cache_dir=cache_dir)
+    print(
+        "repro.serve smoke: ok (round trip, cache hit, point query, bad spec, "
+        "shutdown; 1 worker in memory, then 2 workers on a disk cache with a "
+        "warm restart from disk)"
+    )
     return 0
 
 

@@ -57,16 +57,9 @@ per-shape warm starts — so ``ThermalStepper.step``, ``steady_rise`` and
 the policy bank stay one solve per step at any grid size instead of
 degrading into ``k`` sequential CG runs.
 
-Environment knobs (mirroring the ``REPRO_SWEEP_*`` convention, and
-surfaced as ``--thermal-method`` / ``--thermal-iterative-threshold``
-flags on the experiment runner):
-
-* ``REPRO_THERMAL_METHOD`` — overrides how ``method="auto"`` requests
-  resolve (one of :data:`SOLVE_METHODS`; explicit call-site choices
-  still win).
-* ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` — overrides
-  :attr:`ThermalOperator.iterative_threshold`, the unknown count above
-  which ``auto`` stops factorizing.
+The solve method is chosen per call (``method=``); the ``auto``
+cut-over is the :attr:`ThermalOperator.iterative_threshold` class
+attribute.
 
 The solvers in :mod:`repro.thermal.solver`, the self-heating study and
 the DTM manager are all thin layers over this class; ``factorized`` is
@@ -94,7 +87,6 @@ and call :meth:`ThermalOperator.for_grid` on the worker side instead.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -112,8 +104,6 @@ __all__ = [
     "ThermalOperator",
     "ThermalStepper",
     "SOLVE_METHODS",
-    "METHOD_ENV",
-    "THRESHOLD_ENV",
 ]
 
 #: The solve methods an operator can be asked for (see the module
@@ -121,11 +111,6 @@ __all__ = [
 #: :attr:`ThermalOperator.iterative_threshold` unknowns and to
 #: ``multigrid`` above it.
 SOLVE_METHODS = ("auto", "direct", "iterative", "multigrid")
-
-#: Environment variable overriding how ``method="auto"`` resolves.
-METHOD_ENV = "REPRO_THERMAL_METHOD"
-#: Environment variable overriding the auto direct/multigrid threshold.
-THRESHOLD_ENV = "REPRO_THERMAL_ITERATIVE_THRESHOLD"
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
 #: many distinct grid geometries cannot grow it without limit; eviction
@@ -415,19 +400,14 @@ class ThermalOperator:
         sparse-direct factorization up to
         :attr:`iterative_threshold` unknowns and the multigrid-CG
         path above it; ``direct``/``iterative``/``multigrid`` force the
-        choice.  The ``REPRO_THERMAL_METHOD`` environment variable
-        overrides how ``auto`` resolves (explicit choices still win),
-        and ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` overrides the
-        threshold — both read at resolve time, so a runner flag set
-        before the first solve takes effect process-wide.
+        choice.
     """
 
     #: Unknown count above which ``method="auto"`` routes solves through
     #: multigrid-preconditioned CG instead of sparse-direct
     #: factorization.  A class attribute so deployments with more (or
     #: less) memory can retune it (``ThermalOperator.iterative_threshold
-    #: = ...``); the ``REPRO_THERMAL_ITERATIVE_THRESHOLD`` environment
-    #: variable takes precedence when set.
+    #: = ...``).
     iterative_threshold: int = 4096
 
     def __init__(self, grid: ThermalGrid, method: str = "auto") -> None:
@@ -443,38 +423,14 @@ class ThermalOperator:
         self._solve_lock = threading.Lock()
 
     @classmethod
-    def _effective_threshold(cls) -> int:
-        raw = os.environ.get(THRESHOLD_ENV)
-        if raw is None:
-            return cls.iterative_threshold
-        try:
-            value = int(raw)
-        except ValueError:
-            raise TechnologyError(
-                f"{THRESHOLD_ENV} must be an integer, got {raw!r}"
-            ) from None
-        if value < 0:
-            raise TechnologyError(f"{THRESHOLD_ENV} must be non-negative")
-        return value
-
-    @classmethod
     def _resolve_method(cls, grid: ThermalGrid, method: str) -> str:
         if method not in SOLVE_METHODS:
             raise TechnologyError(
                 f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
             )
-        if method == "auto":
-            override = os.environ.get(METHOD_ENV)
-            if override:
-                if override not in SOLVE_METHODS:
-                    raise TechnologyError(
-                        f"{METHOD_ENV} must be one of {SOLVE_METHODS}, "
-                        f"got {override!r}"
-                    )
-                method = override
         if method != "auto":
             return method
-        if grid.nx * grid.ny > cls._effective_threshold():
+        if grid.nx * grid.ny > cls.iterative_threshold:
             return "multigrid"
         return "direct"
 

@@ -3,17 +3,23 @@
 The loops the broadcast paths replaced are reference oracles in
 ``tests/oracles/``; no public function or method of :mod:`repro` may
 grow a switch back to them, and no public class may keep one as a
-``*_loop`` method.
+``*_loop`` method.  Each setting likewise has one channel: an explicit
+argument (or a ``repro-serve`` flag), never an environment variable.
 """
 
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
 import repro.engine
+import repro.serve
+import repro.thermal.operator
+from repro.experiments.runner import main as runner_main
 
 #: Parameter names that select an evaluation mode instead of an input.
 MODE_SWITCHES = {"scalar", "vectorized", "evaluator", "use_technology_axis"}
@@ -90,3 +96,29 @@ def test_no_public_class_keeps_a_loop_method():
 def test_batch_evaluator_is_not_exported(package):
     assert "BatchEvaluator" not in package.__all__
     assert not hasattr(package, "BatchEvaluator")
+
+
+def test_no_module_reads_the_environment():
+    root = Path(repro.__path__[0])
+    sites = [
+        f"{path.relative_to(root.parent)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if "os.environ" in line or "getenv" in line
+    ]
+    assert sites == []
+
+
+@pytest.mark.parametrize(
+    "module", [repro.serve, repro.thermal.operator], ids=lambda m: m.__name__
+)
+def test_no_environment_variable_name_is_exported(module):
+    assert [name for name in module.__all__ if name.endswith("_ENV")] == []
+
+
+def test_runner_offers_only_experiment_options(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        runner_main(["--help"])
+    assert exit_info.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert options == {"--help", "--technology", "--experiment", "--list", "--output"}

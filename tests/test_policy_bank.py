@@ -277,18 +277,15 @@ class TestResolutionAxisLowering:
         assert np.array_equal(result.select(resolution=16).values, explicit.values)
 
     def test_one_operator_cache_entry_per_resolution(self, bank):
-        # Asserts a process-local side effect of the in-process lowering
-        # (which operators got cached *here*), so the dense path is
-        # requested explicitly: under an environment-selected process
-        # backend the tiles — and their cache warming — live in the
-        # worker processes by design.
+        # Asserts a process-local side effect of the in-process (dense)
+        # lowering: which operators got cached *here*.
         base = Floorplan.example_processor()
         ThermalOperator.clear_cache()
         (
             Sweep()
             .over(Axis.resolution([8, 12, 16], base))
             .over(Axis.site(bank))
-            .run(executor="dense")
+            .run()
         )
         assert ThermalOperator.cache_size() == 3
         # Re-declaring the same refinement reuses every entry.
@@ -296,7 +293,7 @@ class TestResolutionAxisLowering:
             Sweep()
             .over(Axis.resolution([8, 12, 16], base))
             .over(Axis.site(bank))
-            .run(executor="dense")
+            .run()
         )
         assert ThermalOperator.cache_size() == 3
 

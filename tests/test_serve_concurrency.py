@@ -34,7 +34,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.engine import Axis, Sweep
+from repro.engine import Axis, Sweep, SweepError
 from repro.serve import (
     MicroBatcher,
     ServeClient,
@@ -607,6 +607,22 @@ def test_endpoint_observable_sweep_bypasses_the_coalescer():
         assert handle.server.evaluations == 1
     finally:
         handle.stop()
+
+
+@pytest.mark.parametrize("window_ms", [float("nan"), float("inf"), -1.0])
+def test_non_finite_or_negative_batch_window_is_rejected(window_ms):
+    # asyncio.sleep(nan or inf) never returns: such a window would hang
+    # every batched query, so it must fail at construction instead.
+    async def evaluate(payload, **_scheduling):  # pragma: no cover - never runs
+        raise AssertionError("no evaluation expected")
+
+    with pytest.raises(SweepError, match="window_ms"):
+        MicroBatcher(evaluate, window_ms)
+    with pytest.raises(SweepError, match="window_ms"):
+        SweepServer(port=0, batch_window_ms=window_ms)
+    # SweepError subclasses ValueError, so older handlers still match.
+    with pytest.raises(ValueError):
+        MicroBatcher(evaluate, window_ms)
 
 
 @settings(

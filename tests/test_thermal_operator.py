@@ -14,8 +14,6 @@ from repro.thermal import (
     solve_transient,
 )
 from repro.thermal.operator import (
-    METHOD_ENV,
-    THRESHOLD_ENV,
     _CACHE_LIMIT,
     _IterativeSolve,
     _TIMESTEP_CACHE_LIMIT,
@@ -184,6 +182,27 @@ class TestIterativeFallback:
         monkeypatch.setattr(ThermalOperator, "iterative_threshold", 100)
         assert ThermalOperator(grid, method="auto").method == "multigrid"
 
+    def test_threshold_reroutes_auto(self, monkeypatch, grid_and_power):
+        grid, _power = grid_and_power
+        monkeypatch.setattr(ThermalOperator, "iterative_threshold", 100)
+        assert ThermalOperator(grid, method="auto").method == "multigrid"
+        # At the threshold itself auto still factorizes.
+        monkeypatch.setattr(ThermalOperator, "iterative_threshold", grid.nx * grid.ny)
+        assert ThermalOperator(grid, method="auto").method == "direct"
+
+    def test_threshold_change_joins_the_cache_key(self, monkeypatch, grid_and_power):
+        # An operator cached under a retuned threshold must not be
+        # handed back (with the wrong prepared solve) once it is restored.
+        grid, _power = grid_and_power
+        ThermalOperator.clear_cache()
+        with monkeypatch.context() as patch:
+            patch.setattr(ThermalOperator, "iterative_threshold", 100)
+            retuned = ThermalOperator.for_grid(grid)
+        plain = ThermalOperator.for_grid(grid)
+        assert retuned.method == "multigrid"
+        assert plain.method == "direct"
+        assert retuned is not plain
+
     def test_explicit_methods_get_distinct_cache_entries(self, grid_and_power):
         grid, _power = grid_and_power
         ThermalOperator.clear_cache()
@@ -221,85 +240,6 @@ class TestIterativeFallback:
             ThermalOperator(grid, method="cholesky")
         with pytest.raises(TechnologyError):
             ThermalOperator.for_grid(grid, method="cholesky")
-
-
-class TestEnvironmentKnobs:
-    """The REPRO_THERMAL_* overrides, read at resolve time."""
-
-    def test_method_env_overrides_auto(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "iterative")
-        assert ThermalOperator(grid, method="auto").method == "iterative"
-        monkeypatch.setenv(METHOD_ENV, "multigrid")
-        assert ThermalOperator(grid, method="auto").method == "multigrid"
-
-    def test_explicit_method_wins_over_env(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "iterative")
-        assert ThermalOperator(grid, method="direct").method == "direct"
-
-    def test_invalid_method_env_rejected(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(METHOD_ENV, "cholesky")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
-
-    def test_threshold_env_reroutes_auto(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(THRESHOLD_ENV, "100")
-        assert ThermalOperator(grid, method="auto").method == "multigrid"
-        monkeypatch.setenv(THRESHOLD_ENV, str(grid.nx * grid.ny))
-        assert ThermalOperator(grid, method="auto").method == "direct"
-
-    def test_invalid_threshold_env_rejected(self, monkeypatch, grid_and_power):
-        grid, _power = grid_and_power
-        monkeypatch.setenv(THRESHOLD_ENV, "many")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
-        monkeypatch.setenv(THRESHOLD_ENV, "-5")
-        with pytest.raises(TechnologyError):
-            ThermalOperator(grid, method="auto")
-
-    def test_env_overrides_join_the_cache_key(self, monkeypatch, grid_and_power):
-        # An operator cached while an override was set must not be
-        # handed back (with the wrong prepared solve) once it is lifted.
-        grid, _power = grid_and_power
-        ThermalOperator.clear_cache()
-        monkeypatch.setenv(METHOD_ENV, "iterative")
-        overridden = ThermalOperator.for_grid(grid)
-        monkeypatch.delenv(METHOD_ENV)
-        plain = ThermalOperator.for_grid(grid)
-        assert overridden.method == "iterative"
-        assert plain.method == "direct"
-        assert overridden is not plain
-
-    @pytest.fixture(scope="class")
-    def grid_and_power(self):
-        return _grid_at(24)
-
-    def test_runner_flags_set_the_knobs(self, monkeypatch, capsys):
-        from repro.experiments.runner import main
-
-        monkeypatch.delenv(METHOD_ENV, raising=False)
-        monkeypatch.delenv(THRESHOLD_ENV, raising=False)
-        import os
-
-        assert (
-            main(
-                [
-                    "--thermal-method",
-                    "multigrid",
-                    "--thermal-iterative-threshold",
-                    "123",
-                    "--list",
-                ]
-            )
-            == 0
-        )
-        assert os.environ[METHOD_ENV] == "multigrid"
-        assert os.environ[THRESHOLD_ENV] == "123"
-        monkeypatch.delenv(METHOD_ENV)
-        monkeypatch.delenv(THRESHOLD_ENV)
 
 
 class TestWarmStartKeying:

@@ -7,9 +7,10 @@ dense single-broadcast path (which ``tests/test_sweep_api.py`` pins to
 the scalar oracle), across tile sizes from one element to
 larger-than-the-axis.  On top of that: the tiling pass partitions the
 index space exactly once, a sweep whose dense tensor exceeds the
-configured memory budget completes out-of-core, streaming reducers
-agree with ``np.mean`` / ``np.percentile`` at 1e-12, and the
-environment knobs select a default backend without touching call sites.
+configured memory budget completes out-of-core, and streaming reducers
+agree with ``np.mean`` / ``np.percentile`` at 1e-12.  Backends are
+chosen only by the explicit ``executor=`` argument: with none, a sweep
+runs the dense path.
 """
 
 import os
@@ -35,9 +36,12 @@ from repro.engine import (
     resolve_executor,
     subplan,
 )
-from repro.engine.executors import EXECUTOR_ENV, TILE_ELEMENTS_ENV, WORKERS_ENV
+from repro.cells import default_library
+from repro.core import SensorBank
+from repro.engine.executors import make_executor
 from repro.oscillator import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
-from repro.tech import CMOS035, sample_technology_array
+from repro.tech import CMOS018, CMOS035, sample_technology_array
+from repro.thermal import Floorplan
 
 HYPOTHESIS_SETTINGS = dict(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -180,12 +184,117 @@ EXECUTORS = {
 }
 
 
+def _site_bank():
+    floorplan = Floorplan.example_processor()
+    floorplan.add_sensor_grid(2, 2)
+    return SensorBank(
+        default_library(CMOS035), floorplan.sensor_sites(), CONFIGURATION
+    )
+
+
+SITE_BANK = _site_bank()
+SMALL_POPULATION = sample_technology_array(CMOS035, 5, seed=3)
+
+
+def _over(sweep, *axes):
+    for axis in axes:
+        sweep = sweep.over(axis)
+    return sweep
+
+
+def _ring(*axes):
+    return _over(Sweep(technology=CMOS035, configuration=CONFIGURATION), *axes)
+
+
+#: One sweep per lowering branch of ``SweepPlan._execute_dense`` (plain
+#: ring, sample, supply, supply x sample, configuration, width ratio,
+#: technology axis, site characterisation, site scan, site +
+#: resolution), each with a tile budget small enough to split it.
+#: Between them they read every observable.
+BACKEND_CASES = {
+    "period": (lambda: sample_sweep("period"), 97),
+    "code": (lambda: sample_sweep("code"), 97),
+    "calibration_error_c": (lambda: sample_sweep("calibration_error_c"), 97),
+    "ring-frequency": (
+        lambda: _ring(Axis.temperature(TEMPS)).observe("frequency"), 5
+    ),
+    "supply-power": (
+        lambda: _ring(Axis.supply([3.0, 3.6]), Axis.temperature(TEMPS)).observe(
+            "power"
+        ),
+        7,
+    ),
+    "supply-sample-code": (
+        lambda: _ring(
+            Axis.supply([3.0, 3.3, 3.6]),
+            Axis.sample(SMALL_POPULATION),
+            Axis.temperature(TEMPS),
+        ).observe("code"),
+        23,
+    ),
+    "configuration-power": (
+        lambda: _over(
+            Sweep(technology=CMOS035),
+            Axis.configuration(PAPER_FIG3_CONFIGURATIONS),
+            Axis.temperature(TEMPS),
+        ).observe("power"),
+        29,
+    ),
+    "width_ratio-nonlinearity_percent": (
+        lambda: _over(
+            Sweep(technology=CMOS035),
+            Axis.width_ratio([1.0, 2.0, 3.0]),
+            Axis.sample(SMALL_POPULATION),
+            Axis.temperature(TEMPS),
+        ).observe("nonlinearity_percent"),
+        40,
+    ),
+    "technology-period": (
+        lambda: _over(
+            Sweep(configuration=CONFIGURATION),
+            Axis.technology([CMOS035, CMOS018]),
+            Axis.temperature(TEMPS),
+        ).observe("period"),
+        5,
+    ),
+    "site-characterisation-transfer_c": (
+        lambda: _over(
+            Sweep(),
+            Axis.site(SITE_BANK),
+            Axis.sample(SMALL_POPULATION),
+            Axis.temperature(TEMPS),
+        ).observe("transfer_c"),
+        150,
+    ),
+    "site-scan-code": (
+        lambda: _over(
+            Sweep(),
+            Axis.site(SITE_BANK, junction_temperatures_c=[55.0, 70.0, 85.0, 95.0]),
+            Axis.sample(SMALL_POPULATION),
+        ).observe("code"),
+        6,
+    ),
+    "site-resolution-power": (
+        lambda: _over(
+            Sweep(),
+            Axis.resolution([8, 12], Floorplan.example_processor()),
+            Axis.site(SITE_BANK),
+            Axis.sample(SMALL_POPULATION),
+        ).observe("power"),
+        9,
+    ),
+}
+
+
 @pytest.mark.parametrize("backend", sorted(EXECUTORS))
-@pytest.mark.parametrize("observable", ["period", "code", "calibration_error_c"])
-def test_every_backend_bit_matches_dense(backend, observable):
-    dense = sample_sweep(observable).run()
-    tiled = sample_sweep(observable).run(
-        executor=EXECUTORS[backend](), max_tile_elements=97
+@pytest.mark.parametrize("case", list(BACKEND_CASES))
+def test_every_backend_bit_matches_dense(backend, case):
+    build, tile_elements = BACKEND_CASES[case]
+    dense = build().run()
+    tiling = plan_tiles(build().plan(), max_tile_elements=tile_elements)
+    assert len(tiling.tiles) > 1, "the case must exercise more than one tile"
+    tiled = build().run(
+        executor=EXECUTORS[backend](), max_tile_elements=tile_elements
     )
     assert_results_equal(tiled, dense)
 
@@ -434,13 +543,12 @@ class TestStreamingReducers:
 
 
 # --------------------------------------------------------------------------- #
-# backend resolution and the environment knobs
+# backend resolution
 # --------------------------------------------------------------------------- #
 
 
 class TestResolution:
-    def test_no_arguments_is_the_dense_path(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+    def test_no_arguments_is_the_dense_path(self):
         assert resolve_executor(None) is None
 
     def test_names_and_instances_resolve(self):
@@ -456,23 +564,16 @@ class TestResolution:
         with pytest.raises(SweepError, match="Executor"):
             resolve_executor(42)
 
-    def test_env_selects_default_backend(self, monkeypatch, dense_period):
-        monkeypatch.setenv(EXECUTOR_ENV, "serial")
-        monkeypatch.setenv(TILE_ELEMENTS_ENV, "45")
-        tiled = sample_sweep("period").run()
-        assert_results_equal(tiled, dense_period)
-
-    def test_env_worker_count_reaches_process_backend(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "process")
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        executor = resolve_executor(None)
+    def test_worker_count_reaches_process_backend(self):
+        executor = make_executor("process", max_workers=3)
         assert isinstance(executor, ProcessExecutor)
         assert executor.max_workers == 3
+        assert ProcessExecutor().max_workers == (os.cpu_count() or 1)
 
-    def test_explicit_argument_beats_environment(self, monkeypatch, dense_period):
-        monkeypatch.setenv(EXECUTOR_ENV, "process")
-        tiled = sample_sweep("period").run(executor="serial", max_tile_elements=50)
-        assert_results_equal(tiled, dense_period)
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_non_positive_worker_count_rejected(self, workers):
+        with pytest.raises(SweepError, match="max_workers"):
+            ProcessExecutor(max_workers=workers)
 
     def test_tile_budget_alone_runs_serial_tiles(self, dense_period):
         tiled = sample_sweep("period").run(max_tile_elements=23)
