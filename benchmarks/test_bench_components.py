@@ -12,7 +12,7 @@ import pytest
 from repro.analysis import nonlinearity
 from repro.cells import characterize_cell, inverter
 from repro.oscillator import RingConfiguration, RingOscillator, analytical_response
-from repro.thermal import PowerMap, ThermalGrid, solve_steady_state
+from repro.thermal import PowerMap, ThermalGrid, ThermalOperator
 from repro.thermal.floorplan import Floorplan
 
 
@@ -48,7 +48,9 @@ def test_kernel_cell_characterisation(benchmark, tech):
 def test_kernel_thermal_steady_state_solve(benchmark):
     power = PowerMap.from_floorplan(Floorplan.example_processor(), nx=32, ny=32)
     grid = ThermalGrid.for_power_map(power)
-    result = benchmark(solve_steady_state, grid, power, 45.0)
+    result = benchmark(
+        lambda: ThermalOperator.for_grid(grid).solve_steady_state(power, 45.0)
+    )
     assert result.max_c() > 45.0
 
 

@@ -182,7 +182,6 @@ from .thermal import (
     PowerMap,
     ThermalGrid,
     ThermalOperator,
-    solve_steady_state,
 )
 
 __version__ = "1.0.0"
@@ -229,6 +228,5 @@ __all__ = [
     "PowerMap",
     "ThermalGrid",
     "ThermalOperator",
-    "solve_steady_state",
     "__version__",
 ]

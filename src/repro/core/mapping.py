@@ -24,7 +24,7 @@ from ..tech.parameters import Technology, TechnologyError
 from ..thermal.floorplan import Floorplan, SensorSite
 from ..thermal.grid import TemperatureMap, ThermalGrid, ThermalGridParameters
 from ..thermal.power import PowerMap
-from ..thermal.solver import solve_steady_state
+from ..thermal.operator import ThermalOperator
 from .multiplexer import ScanResult, SensorMultiplexer
 from .readout import ReadoutConfig
 from .sensor import SensorTransferFunction, SmartTemperatureSensor
@@ -244,7 +244,9 @@ class ThermalMonitor:
 
     def temperature_field(self, power: PowerMap) -> TemperatureMap:
         """Reference temperature field for a workload power map."""
-        return solve_steady_state(self._grid_for(power), power, self.ambient_c)
+        return ThermalOperator.for_grid(self._grid_for(power)).solve_steady_state(
+            power, self.ambient_c
+        )
 
     def power_map_for_floorplan(self) -> PowerMap:
         """Rasterised power map of the monitor's floorplan."""

@@ -17,7 +17,7 @@ throttling, PowerPC thermal assist unit) implemented.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -98,17 +98,6 @@ class ThrottlingPolicy:
         if scales != sorted(scales, reverse=True):
             raise TechnologyError("states must be ordered from fastest to slowest")
 
-    def next_state_index(self, current_index: int, hottest_reading_c: float) -> int:
-        """Policy step: new state index given the hottest sensor reading."""
-        last = len(self.states) - 1
-        if hottest_reading_c >= self.emergency_threshold_c:
-            return last
-        if hottest_reading_c >= self.throttle_threshold_c:
-            return min(current_index + 1, last)
-        if hottest_reading_c <= self.release_threshold_c:
-            return max(current_index - 1, 0)
-        return current_index
-
 
 @dataclass(frozen=True)
 class DtmTracePoint:
@@ -116,6 +105,7 @@ class DtmTracePoint:
 
     time_s: float
     state_name: str
+    state_index: int
     power_w: float
     true_peak_c: float
     hottest_reading_c: float
@@ -148,17 +138,13 @@ class DtmResult:
         return float(np.mean([point.performance for point in self.trace]))
 
     def throttle_events(self) -> int:
-        """Number of transitions into a slower performance state."""
-        events = 0
-        names = [point.state_name for point in self.trace]
-        ranks = {state: rank for rank, state in enumerate(dict.fromkeys(names))}
-        previous_rank: Optional[int] = None
-        for point in self.trace:
-            rank = ranks[point.state_name]
-            if previous_rank is not None and rank > previous_rank:
-                events += 1
-            previous_rank = rank
-        return events
+        """Number of transitions into a slower performance state.
+
+        States rank by their position in the policy (fastest first), so
+        a release from emergency to throttled is not a throttle event.
+        """
+        indices = [point.state_index for point in self.trace]
+        return int(np.count_nonzero(np.diff(indices) > 0))
 
     def state_occupancy(self) -> Dict[str, float]:
         """Fraction of control intervals spent in each performance state."""
@@ -171,14 +157,14 @@ class PolicyBank:
 
     The DTM policy *comparison* — the paper's actual story — evaluates
     many thresholds/hysteresis/performance-state sets against the same
-    die.  Run one at a time through :meth:`DynamicThermalManager.run`,
-    every policy pays its own transient integration and per-step sensor
-    scan.  A :class:`PolicyBank` stores the policies as threshold
-    vectors plus padded ``(policy, state)`` performance-state tables, so
-    :meth:`DynamicThermalManager.run_bank` can carry every policy's FSM
-    state as one index vector and advance all of them through a single
+    die.  A :class:`PolicyBank` stores the policies as threshold vectors
+    plus padded ``(policy, state)`` performance-state tables, so
+    :meth:`DynamicThermalManager.run_bank` carries every policy's FSM
+    state as one index vector and advances all of them through a single
     shared :class:`~repro.thermal.operator.ThermalStepper` multi-RHS
-    solve per timestep.
+    solve per timestep, instead of one transient integration and one
+    per-step sensor scan per policy.  A one-policy bank is how a single
+    policy runs.
 
     Accepts a label-to-policy mapping (preferred — labels name the
     sweep axis), a plain policy sequence (labelled ``policy-0``, ...),
@@ -274,9 +260,11 @@ class PolicyBank:
         """Vectorized policy step over the whole bank.
 
         ``indices`` and ``hottest_readings_c`` share a leading
-        ``policy`` axis (plus any trailing sample axes); the comparisons
-        are elementwise :meth:`ThrottlingPolicy.next_state_index`, so a
-        banked run takes exactly the decisions the scalar FSM takes.
+        ``policy`` axis (plus any trailing sample axes).  Per policy the
+        threshold-with-hysteresis rule is: at or above the emergency
+        threshold jump to the slowest state; at or above the throttle
+        threshold step one state slower; at or below the release
+        threshold step one state faster; otherwise hold.
         """
         indices = np.asarray(indices, dtype=int)
         readings = np.asarray(hottest_readings_c, dtype=float)
@@ -328,7 +316,8 @@ class DtmBankResult:
     reduce over steps, returning one value per policy (per sample).
     :meth:`to_result` unstacks one policy's trace back into the scalar
     :class:`DtmResult`, which is how the equivalence tests compare the
-    banked run against the retained scalar oracle point for point.
+    banked run against the per-policy closed-loop oracle point for
+    point.
     """
 
     bank: PolicyBank
@@ -392,33 +381,12 @@ class DtmBankResult:
         return self.performance.mean(axis=-1)
 
     def throttle_events(self) -> np.ndarray:
-        """Downward state transitions per policy (scalar-rank semantics).
+        """Transitions into a slower state per policy (per sample).
 
-        Counts with :meth:`DtmResult.throttle_events`'s first-seen-rank
-        rule (which differs from a plain index comparison when an
-        emergency jump reorders the first appearance of states) applied
-        directly to the integer state traces, so the banked metric
-        cannot drift from the oracle without materialising a throwaway
-        trace per (policy, sample) row.
+        The same count as :meth:`DtmResult.throttle_events`: a step
+        whose state index rises.
         """
-        flat_indices = self.state_indices.reshape(self.policy_count, -1, self.step_count)
-        counts = np.zeros(flat_indices.shape[:2], dtype=int)
-        for p in range(flat_indices.shape[0]):
-            names = [
-                self.bank.state_name(p, state)
-                for state in range(int(self.bank.state_counts[p]))
-            ]
-            for s in range(flat_indices.shape[1]):
-                ranks: Dict[str, int] = {}
-                events = 0
-                previous: Optional[int] = None
-                for index in flat_indices[p, s]:
-                    rank = ranks.setdefault(names[index], len(ranks))
-                    if previous is not None and rank > previous:
-                        events += 1
-                    previous = rank
-                counts[p, s] = events
-        return counts.reshape(self.state_indices.shape[:-1])
+        return np.count_nonzero(np.diff(self.state_indices, axis=-1) > 0, axis=-1)
 
     def state_occupancy(self) -> Dict[str, Dict[str, float]]:
         """Per-policy state-occupancy fractions (single-technology runs)."""
@@ -440,7 +408,7 @@ class DtmBankResult:
 
         Only defined for single-technology runs (the scalar trace has no
         sample axis).  The result is point-for-point comparable with a
-        :meth:`DynamicThermalManager.run` of the same policy.
+        closed loop that runs the same policy on its own.
         """
         if self.sample_count is not None:
             raise TechnologyError(
@@ -452,6 +420,7 @@ class DtmBankResult:
             DtmTracePoint(
                 time_s=float(self.times_s[k]),
                 state_name=self.bank.state_name(p, self.state_indices[p, k]),
+                state_index=int(self.state_indices[p, k]),
                 power_w=float(self.power_w[p, k]),
                 true_peak_c=float(self.true_peak_c[p, k]),
                 hottest_reading_c=float(self.hottest_reading_c[p, k]),
@@ -485,14 +454,19 @@ class DynamicThermalManager:
         Die floorplan; must contain sensor sites (the monitor reads them).
     configuration:
         Ring configuration of every sensor.
-    policy:
-        Throttling policy.
     readout:
         Sensor readout configuration.
     grid_resolution:
         Thermal-model grid resolution.
     ambient_c:
         Package/board ambient temperature.
+    thermal_parameters:
+        Physical parameters of the thermal grid.  The grid size picks
+        the backward-Euler solver (a direct factorization on small
+        grids, multigrid-preconditioned block CG on full-die ones), so
+        a banked run stays one solve per timestep at any resolution.
+
+    The throttling policies are inputs of :meth:`run_bank`.
     """
 
     def __init__(
@@ -500,23 +474,14 @@ class DynamicThermalManager:
         technology: Technology,
         floorplan: Floorplan,
         configuration: RingConfiguration,
-        policy: ThrottlingPolicy = ThrottlingPolicy(),
         readout: ReadoutConfig = ReadoutConfig(),
         grid_resolution: int = 24,
         ambient_c: float = 45.0,
         thermal_parameters: ThermalGridParameters = ThermalGridParameters(),
-        solve_method: str = "auto",
     ) -> None:
         self.technology = technology
         self.floorplan = floorplan
-        self.policy = policy
         self.ambient_c = float(ambient_c)
-        #: How the backward-Euler systems are solved (one of
-        #: ``repro.thermal.SOLVE_METHODS``) — ``auto`` picks a direct
-        #: factorization on small grids and multigrid-preconditioned
-        #: block CG on full-die resolutions, so a banked run stays one
-        #: (possibly iterative) solve per timestep at any grid size.
-        self.solve_method = solve_method
         self.monitor = ThermalMonitor(
             technology,
             floorplan,
@@ -538,101 +503,6 @@ class DynamicThermalManager:
         """Workload power map at full speed."""
         return self._base_power
 
-    def _sensor_readings(self, die_map: TemperatureMap) -> Dict[str, float]:
-        """Read every sensor at its local junction temperature.
-
-        One banked scan (vectorized site gather + one broadcast period
-        evaluation + one batch counter conversion) replaces the
-        per-sensor multiplexer loop that used to run every control
-        interval.
-        """
-        if self.monitor.bank.calibration is None:
-            raise TechnologyError("DTM requires calibrated sensors")
-        truths = die_map.sample_points(self._site_xs, self._site_ys)
-        scan = self.monitor.bank.scan(truths)
-        return {
-            name: float(estimate)
-            for name, estimate in zip(scan.names, scan.estimates_c)
-        }
-
-    def run(
-        self,
-        duration_s: float = 2.0,
-        control_interval_s: float = 0.02,
-        limit_c: float = 115.0,
-        workload_scale: float = 1.0,
-        policy: Optional[ThrottlingPolicy] = None,
-    ) -> DtmResult:
-        """Run the closed-loop simulation.
-
-        Parameters
-        ----------
-        duration_s:
-            Simulated wall-clock time.
-        control_interval_s:
-            Period of the sensor scan + policy decision (also the thermal
-            integration step).
-        limit_c:
-            Junction-temperature limit used for the reporting metrics
-            (time-above-limit); the policy thresholds live in the policy.
-        workload_scale:
-            Scaling of the workload power (for what-if studies).
-        policy:
-            Per-run policy override (the manager's own policy when
-            omitted).  This is how a study runs the *same* die and
-            sensors under different policies — e.g. an unmanaged
-            reference whose thresholds are never reached — without
-            rebuilding the manager or the thermal model.
-        """
-        if duration_s <= 0.0 or control_interval_s <= 0.0:
-            raise TechnologyError("duration and control interval must be positive")
-        if control_interval_s >= duration_s:
-            raise TechnologyError("control interval must be shorter than the duration")
-        if workload_scale < 0.0:
-            raise TechnologyError("workload_scale must be non-negative")
-
-        active_policy = policy if policy is not None else self.policy
-        steps = int(np.ceil(duration_s / control_interval_s))
-        grid = self._grid
-        # The backward-Euler factorization comes from the process-wide
-        # operator cache, so every run over the same grid and control
-        # interval — including the managed/unmanaged pair of a study —
-        # shares a single factorization.
-        stepper = ThermalOperator.for_grid(grid, self.solve_method).stepper(
-            control_interval_s
-        )
-
-        state_index = 0
-        rise = np.zeros(grid.nx * grid.ny)
-        trace: List[DtmTracePoint] = []
-
-        for step in range(1, steps + 1):
-            time = step * control_interval_s
-            state = active_policy.states[state_index]
-            power = self._base_power.scaled(workload_scale * state.power_scale)
-            rise = stepper.step(rise, power.values_w.reshape(-1))
-            die_map = TemperatureMap(
-                grid.width_mm,
-                grid.height_mm,
-                rise.reshape((grid.ny, grid.nx)) + self.ambient_c,
-            )
-
-            readings = self._sensor_readings(die_map)
-            hottest = max(readings.values())
-            trace.append(
-                DtmTracePoint(
-                    time_s=time,
-                    state_name=state.name,
-                    power_w=power.total_power_w(),
-                    true_peak_c=die_map.max_c(),
-                    hottest_reading_c=hottest,
-                    performance=state.performance,
-                )
-            )
-            state_index = active_policy.next_state_index(state_index, hottest)
-
-        return DtmResult(trace=tuple(trace), limit_c=limit_c, final_map=die_map)
-
     def run_bank(
         self,
         policies: Union[
@@ -646,24 +516,35 @@ class DynamicThermalManager:
     ) -> DtmBankResult:
         """Run every policy of a bank through one shared closed loop.
 
-        The banked counterpart of :meth:`run` (which is retained as the
-        per-policy oracle): all policies advance in lockstep, so each
-        timestep costs **one** multi-RHS backward-Euler solve for the
-        whole ``(cell, policy)`` temperature-rise stack, one bilinear
-        gather of every policy's sensor sites from its own field, one
-        broadcast ring-period evaluation and one vectorized FSM step —
-        instead of one full transient integration per policy.  The
-        arithmetic per policy is exactly the scalar loop's, so throttle
-        decisions bit-match and temperatures agree to solver rounding.
+        Workload power heats the die, every sensor reads its local
+        junction temperature, and each policy's FSM picks the next
+        performance state from its hottest reading.  All policies
+        advance in lockstep, so each timestep costs **one** multi-RHS
+        backward-Euler solve for the whole ``(cell, policy)``
+        temperature-rise stack, one bilinear gather of every policy's
+        sensor sites from its own field, one broadcast ring-period
+        evaluation and one vectorized FSM step — instead of one full
+        transient integration per policy.  The arithmetic per policy is
+        exactly a one-policy closed loop's, so throttle decisions
+        bit-match and temperatures agree to solver rounding.
 
         Parameters
         ----------
         policies:
             A :class:`PolicyBank`, a label-to-policy mapping or a policy
             sequence.
-        duration_s / control_interval_s / limit_c / workload_scale:
-            As in :meth:`run` (shared by every policy — the comparison
-            holds the workload fixed and varies only the policy).
+        duration_s:
+            Simulated wall-clock time.
+        control_interval_s:
+            Period of the sensor scan + policy decision (also the thermal
+            integration step).
+        limit_c:
+            Junction-temperature limit used for the reporting metrics
+            (time-above-limit); the policy thresholds live in the policies.
+        workload_scale:
+            Scaling of the workload power (for what-if studies).  The
+            workload is shared by every policy — the comparison holds it
+            fixed and varies only the policy.
         technologies:
             Optional Monte-Carlo technology population (a stacked
             :class:`~repro.tech.stacked.TechnologyArray` or a stackable
@@ -674,12 +555,14 @@ class DynamicThermalManager:
             and each (policy, sample) pair carries its own FSM/thermal
             trajectory.
         """
-        if duration_s <= 0.0 or control_interval_s <= 0.0:
-            raise TechnologyError("duration and control interval must be positive")
+        if not (0.0 < duration_s < np.inf and 0.0 < control_interval_s < np.inf):
+            raise TechnologyError(
+                "duration and control interval must be positive and finite"
+            )
         if control_interval_s >= duration_s:
             raise TechnologyError("control interval must be shorter than the duration")
-        if workload_scale < 0.0:
-            raise TechnologyError("workload_scale must be non-negative")
+        if not 0.0 <= workload_scale < np.inf:
+            raise TechnologyError("workload_scale must be non-negative and finite")
         bank = PolicyBank.of(policies)
         sensors = self.monitor.bank
         if sensors.calibration is None:
@@ -701,9 +584,9 @@ class DynamicThermalManager:
 
         steps = int(np.ceil(duration_s / control_interval_s))
         grid = self._grid
-        stepper = ThermalOperator.for_grid(grid, self.solve_method).stepper(
-            control_interval_s
-        )
+        # The backward-Euler solve comes from the process-wide operator
+        # cache, shared by every run over the same grid and interval.
+        stepper = ThermalOperator.for_grid(grid).stepper(control_interval_s)
         policy_count = bank.policy_count
         column_shape = (
             (policy_count,) if sample_count is None else (policy_count, sample_count)
@@ -724,7 +607,7 @@ class DynamicThermalManager:
 
         for step in range(steps):
             scales = bank.power_scales_at(indices)
-            # Same multiplication order as the scalar loop's
+            # Same multiplication order as a one-policy loop's
             # ``base.scaled(workload_scale * state.power_scale)``.
             factors = workload_scale * scales
             power = base_flat[:, np.newaxis] * factors.reshape(1, columns)

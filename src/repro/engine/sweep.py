@@ -75,7 +75,7 @@ from ..tech.stacked import (
 )
 from ..thermal.floorplan import Floorplan
 from ..thermal.grid import ThermalGrid, ThermalGridParameters
-from ..thermal.operator import SOLVE_METHODS, ThermalOperator
+from ..thermal.operator import ThermalOperator
 from ..thermal.power import PowerMap
 
 __all__ = [
@@ -498,7 +498,6 @@ class Axis:
         floorplan: Floorplan,
         ambient_c: float = 45.0,
         parameters: ThermalGridParameters = ThermalGridParameters(),
-        method: str = "auto",
     ) -> "Axis":
         """The thermal-grid density axis (a grid-refinement study).
 
@@ -506,11 +505,10 @@ class Axis:
         power map onto an ``r x r`` grid, solves the steady-state die
         temperature field through the process-wide
         :class:`~repro.thermal.operator.ThermalOperator` cache (one
-        entry — one factorization or preconditioner — per resolution;
-        ``method`` routes large grids through the iterative fallback)
-        and reads every sensor site of the sweep's ``site`` axis at its
-        local junction temperature.  The result gains a ``resolution``
-        dimension just outside ``site``.
+        entry — one factorization or multigrid hierarchy per resolution,
+        picked by the grid size) and reads every sensor site of the
+        sweep's ``site`` axis at its local junction temperature.  The
+        result gains a ``resolution`` dimension just outside ``site``.
 
         Requires a ``site`` axis *without* explicit junction
         temperatures (the solved fields supply them); like a site scan,
@@ -522,10 +520,6 @@ class Axis:
             raise SweepError(
                 f"the resolution axis takes a Floorplan, got "
                 f"{type(floorplan).__name__}"
-            )
-        if method not in SOLVE_METHODS:
-            raise SweepError(
-                f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
             )
         values = list(resolutions)
         if not values:
@@ -550,7 +544,6 @@ class Axis:
                 "floorplan": floorplan,
                 "ambient_c": float(ambient_c),
                 "parameters": parameters,
-                "method": method,
             },
         )
 
@@ -1713,9 +1706,9 @@ class SweepPlan:
                         spec["floorplan"], nx=int(r), ny=int(r)
                     )
                     grid = ThermalGrid.for_power_map(power_map, spec["parameters"])
-                    field = ThermalOperator.for_grid(
-                        grid, spec["method"]
-                    ).solve_steady_state(power_map, spec["ambient_c"])
+                    field = ThermalOperator.for_grid(grid).solve_steady_state(
+                        power_map, spec["ambient_c"]
+                    )
                     truths = field.sample_points(xs, ys)
                     slices.append(
                         sensor_bank.period_tensor(truths, technologies=population)

@@ -16,7 +16,7 @@ an always-included unmanaged baseline) into a
 them through one shared closed loop
 (:meth:`~repro.core.thermal_manager.DynamicThermalManager.run_bank` —
 one multi-RHS backward-Euler solve and one banked sensor scan per
-timestep, bit-matching the scalar per-policy oracle), optionally
+timestep, bit-matching a per-policy closed loop), optionally
 crossed with a Monte-Carlo technology population (the ``sample`` axis)
 and with a set of thermal-grid resolutions (the grid-refinement axis
 mirroring the sweep engine's ``resolution`` axis — one cached
@@ -288,22 +288,15 @@ class DtmPolicySweepResult:
 def _build_manager(
     technology: Technology,
     configuration: RingConfiguration,
-    limit_c: float,
     sensor_grid: int,
     grid_resolution: int,
 ) -> DynamicThermalManager:
     floorplan = Floorplan.example_processor()
     floorplan.add_sensor_grid(sensor_grid, sensor_grid)
-    policy = ThrottlingPolicy(
-        throttle_threshold_c=limit_c - 10.0,
-        release_threshold_c=limit_c - 25.0,
-        emergency_threshold_c=limit_c + 5.0,
-    )
     return DynamicThermalManager(
         technology,
         floorplan,
         configuration,
-        policy=policy,
         readout=ReadoutConfig(),
         grid_resolution=grid_resolution,
     )
@@ -356,7 +349,7 @@ def run_dtm_policy_sweep(
 
     results = []
     for resolution in resolutions:
-        manager = _build_manager(tech, configuration, limit_c, sensor_grid, resolution)
+        manager = _build_manager(tech, configuration, sensor_grid, resolution)
         results.append(
             manager.run_bank(
                 stacked,
@@ -391,20 +384,19 @@ def run_dtm_study(
 
     ``workload_scale`` > 1 represents a power virus / worst-case workload
     that would push the unmanaged die past the junction limit — the case
-    thermal management exists for.  The managed/unmanaged pair is the
-    two-policy special case of :func:`run_dtm_policy_sweep`: both ride
-    one banked closed loop (one multi-RHS solve per timestep), and the
-    banked arithmetic bit-matches the retained scalar
-    :meth:`~repro.core.thermal_manager.DynamicThermalManager.run`
-    oracle policy for policy.
+    thermal management exists for.  The managed policy is
+    :func:`example_policy_set`'s ``default``.  The managed/unmanaged
+    pair is the two-policy special case of :func:`run_dtm_policy_sweep`:
+    both ride one banked closed loop (one multi-RHS solve per timestep).
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
-    manager = _build_manager(
-        tech, configuration, limit_c, sensor_grid, grid_resolution
-    )
+    manager = _build_manager(tech, configuration, sensor_grid, grid_resolution)
     banked = manager.run_bank(
-        {"managed": manager.policy, UNMANAGED_LABEL: never_throttle_policy()},
+        {
+            "managed": example_policy_set(limit_c)["default"],
+            UNMANAGED_LABEL: never_throttle_policy(),
+        },
         duration_s=duration_s,
         control_interval_s=control_interval_s,
         limit_c=limit_c,

@@ -93,7 +93,7 @@ class PlacementStudyResult:
     candidate_count: int
     sensor_count: int
     grid_resolution: int
-    solve_method: str
+    solver: str
     scan_time_s: float
     greedy: PlacementResult
     annealed: PlacementResult
@@ -112,7 +112,7 @@ class PlacementStudyResult:
             f"({self.sensor_count} of {self.candidate_count} candidate sites, "
             f"workloads: {', '.join(self.workload_labels)})",
             f"ring: {self.configuration_label}, thermal grid "
-            f"{self.grid_resolution}^2 ({self.solve_method}), "
+            f"{self.grid_resolution}^2 ({self.solver}), "
             f"selected-scan time {self.scan_time_s * 1e6:.1f}us, "
             f"{self.evaluations} objective evaluations",
             f"{'search':>8s} {'sites':<28s} {'rms mean/worst':>15s} "
@@ -144,7 +144,6 @@ def run_placement_study(
     seed: int = 2005,
     anneal_steps: int = 150,
     hotspot_weight: float = 1.0,
-    solve_method: str = "auto",
     calibration_temperatures_c: Tuple[float, float] = (-50.0, 150.0),
     executor: Optional[object] = None,
     max_tile_elements: Optional[int] = None,
@@ -154,12 +153,11 @@ def run_placement_study(
     ``candidate_grid`` sets the candidate pool (a ``g x g`` site grid),
     ``sensor_count`` how many of them the multiplexer gets to keep.  The
     corpus' true fields are solved in one multi-RHS pass through the
-    cached operator (``solve_method`` routes it: large grids take the
-    multigrid block-CG path), every candidate is scanned per workload
-    through the sweep engine, then greedy selection and a seeded
-    annealing refinement search the subsets.  ``executor`` /
-    ``max_tile_elements`` pick the scans' execution backend, as in
-    EXT-THERMALMAP.
+    cached operator (large grids take its multigrid block-CG path),
+    every candidate is scanned per workload through the sweep engine,
+    then greedy selection and a seeded annealing refinement search the
+    subsets.  ``executor`` / ``max_tile_elements`` pick the scans'
+    execution backend, as in EXT-THERMALMAP.
     """
     if sensor_count > candidate_grid * candidate_grid:
         raise TechnologyError(
@@ -176,7 +174,7 @@ def run_placement_study(
         for _, plan in workloads
     ]
     grid = ThermalGrid.for_power_map(powers[0])
-    operator = ThermalOperator.for_grid(grid, solve_method)
+    operator = ThermalOperator.for_grid(grid)
     true_maps = operator.solve_steady_state_multi(powers, ambient_c)
 
     candidate_plan = Floorplan.example_processor()
@@ -225,7 +223,7 @@ def run_placement_study(
         candidate_count=bank.site_count,
         sensor_count=int(sensor_count),
         grid_resolution=int(grid_resolution),
-        solve_method=operator.method,
+        solver=operator.method,
         scan_time_s=sensor_count * bank.conversion_time_s,
         greedy=greedy,
         annealed=annealed,

@@ -214,7 +214,7 @@ class ThermalResolutionPoint:
 
     grid_resolution: int
     unknown_count: int
-    solve_method: str
+    solver: str
     true_peak_c: float
     true_gradient_c: float
     peak_shift_from_finest_c: float
@@ -253,7 +253,7 @@ class ThermalResolutionStudyResult:
             lines.append(
                 f"{point.grid_resolution:>4d}^2 "
                 f"{point.unknown_count:>9d} "
-                f"{point.solve_method:>10s} "
+                f"{point.solver:>10s} "
                 f"{point.true_peak_c:>7.1f} C "
                 f"{point.peak_shift_from_finest_c:>+8.2f} C "
                 f"{point.worst_site_error_c:>9.2f} C "
@@ -334,7 +334,7 @@ def run_thermal_resolution_study(
             ThermalResolutionPoint(
                 grid_resolution=resolution,
                 unknown_count=resolution * resolution,
-                solve_method=operator.method,
+                solver=operator.method,
                 true_peak_c=true_map.max_c(),
                 true_gradient_c=true_map.gradient_c(),
                 peak_shift_from_finest_c=true_map.max_c() - finest_peak,

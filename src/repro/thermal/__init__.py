@@ -4,8 +4,8 @@ from .floorplan import Floorplan, FunctionalBlock, SensorSite
 from .power import PowerMap
 from .grid import TemperatureMap, ThermalGrid, ThermalGridParameters
 from .multigrid import GeometricMultigrid
-from .operator import SOLVE_METHODS, ThermalOperator, ThermalStepper
-from .solver import TransientThermalResult, solve_steady_state, solve_transient
+from .operator import ThermalOperator, ThermalStepper
+from .solver import TransientThermalResult, solve_transient
 from .selfheating import SelfHeatingReport, duty_cycle_study, self_heating_error
 
 __all__ = [
@@ -17,11 +17,9 @@ __all__ = [
     "ThermalGrid",
     "ThermalGridParameters",
     "GeometricMultigrid",
-    "SOLVE_METHODS",
     "ThermalOperator",
     "ThermalStepper",
     "TransientThermalResult",
-    "solve_steady_state",
     "solve_transient",
     "SelfHeatingReport",
     "duty_cycle_study",

@@ -4,9 +4,9 @@ The thermal systems this repository solves — the steady conductance
 matrix ``G`` and the backward-Euler matrix ``C/dt + G`` of a
 :class:`~repro.thermal.grid.ThermalGrid` — are symmetric positive
 definite five-point stencils on a structured cell-centred grid: the
-textbook geometric-multigrid case.  The ILU-CG fallback from the
-previous iteration treats them as generic sparse matrices, so its
-iteration count (and its setup cost) grows with the grid; a multigrid
+textbook geometric-multigrid case.  A generic preconditioner (ILU,
+Jacobi) treats them as arbitrary sparse matrices, so its iteration
+count (and an ILU's setup cost) grows with the grid; a multigrid
 preconditioner is *grid-aware* and keeps both essentially constant per
 unknown, which is what makes full-die resolutions (256x256, 512x512,
 unsteady) as cheap per cell as the small grids.

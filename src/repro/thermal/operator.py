@@ -3,13 +3,13 @@
 Before this module the repository factorized the thermal system in three
 independent places — the steady-state solver called
 :func:`scipy.sparse.linalg.spsolve` (an implicit factorization) on every
-call, and :func:`repro.thermal.solver.solve_transient` and
-:meth:`repro.core.thermal_manager.DynamicThermalManager.run` each built
-their own ``factorized(C/dt + G)`` backward-Euler system per run.  Every
-repeated workload (a thermal-mapping scan per control step, the
-self-heating duty-cycle sweep, the managed-versus-unmanaged DTM pair)
-therefore paid the symbolic + numeric factorization again for a matrix
-that had not changed.
+call, and :func:`repro.thermal.solver.solve_transient` and the DTM
+manager's closed loop each built their own ``factorized(C/dt + G)``
+backward-Euler system per run.  Every repeated workload (a
+thermal-mapping scan per control step, the self-heating duty-cycle
+sweep, the managed-versus-unmanaged DTM pair) therefore paid the
+symbolic + numeric factorization again for a matrix that had not
+changed.
 
 :class:`ThermalOperator` owns those solves instead:
 
@@ -27,44 +27,39 @@ that had not changed.
   and every candidate of a placement search share a single prepared
   solve.
 
-Solve methods
--------------
+Solvers
+-------
 
-``method`` selects how each SPD system is prepared:
+Each operator picks its solver from its own grid size, once, at
+construction (:attr:`ThermalOperator.method` reports the choice):
 
-============  =========================================================
-``direct``    Sparse-direct factorization (``factorized``); exact, but
-              fill-in memory grows super-linearly with the grid.
-``iterative`` ILU-preconditioned conjugate gradients (PR 5's fallback).
-              Memory stays linear, but ILU is not grid-aware: its
-              iteration count grows with resolution and it stalls
-              outright on full-die grids (256x256+).
-``multigrid`` Geometric-multigrid-preconditioned CG
-              (:class:`repro.thermal.multigrid.GeometricMultigrid`):
-              one V-cycle per iteration keeps the iteration count
-              essentially constant in the grid size (~13 on the grids
-              here), so large grids cost the same per unknown as small
-              ones.  The default large-grid path.
-``auto``      ``direct`` at or below :attr:`iterative_threshold`
-              unknowns, ``multigrid`` above it.
-============  =========================================================
+=============  ========================================================
+``direct``     At or below :attr:`~ThermalOperator.iterative_threshold`
+               unknowns: a sparse-direct factorization (``factorized``),
+               exact and the fastest at these sizes.
+``multigrid``  Above it: geometric-multigrid-preconditioned CG
+               (:class:`repro.thermal.multigrid.GeometricMultigrid`).
+               Memory stays linear where a factorization's fill-in
+               would not fit, and one V-cycle per iteration keeps the
+               iteration count essentially constant in the grid size
+               (~13 on the grids here).
+=============  ========================================================
 
-Both iterative methods run the same **batched block-CG** core: an
-``(n, k)`` stack of right-hand sides advances through *one* sparse
-matrix-vector product (and one preconditioner application) per
-iteration for the whole block, with per-column convergence masking and
-per-shape warm starts — so ``ThermalStepper.step``, ``steady_rise`` and
-the policy bank stay one solve per step at any grid size instead of
-degrading into ``k`` sequential CG runs.
+The multigrid path runs a **batched block-CG** core: an ``(n, k)``
+stack of right-hand sides advances through *one* sparse matrix-vector
+product (and one V-cycle) per iteration for the whole block, with
+per-column convergence masking and per-shape warm starts — so
+``ThermalStepper.step``, ``steady_rise`` and the policy bank stay one
+solve per step at any grid size instead of degrading into ``k``
+sequential CG runs.
 
-The solve method is chosen per call (``method=``); the ``auto``
-cut-over is the :attr:`ThermalOperator.iterative_threshold` class
-attribute.
+The :attr:`ThermalOperator.iterative_threshold` class attribute is the
+one override of the size rule.
 
-The solvers in :mod:`repro.thermal.solver`, the self-heating study and
-the DTM manager are all thin layers over this class; ``factorized`` is
-called nowhere else in the repository (the multigrid coarse solve
-excepted).
+The transient solver in :mod:`repro.thermal.solver`, the self-heating
+study and the DTM manager are all thin layers over this class;
+``factorized`` is called nowhere else in the repository (the multigrid
+coarse solve excepted).
 
 Concurrency and fork semantics
 ------------------------------
@@ -79,7 +74,7 @@ The cache is deliberately **per process**.  Worker processes of a tiled
 sweep (:mod:`repro.engine.executors`) each get their own cache — cold
 under ``spawn``, a frozen copy-on-write snapshot under ``fork`` — and
 warm it from the tiles they execute.  Factorization objects (SuperLU
-handles, ILU preconditioners, multigrid hierarchies) hold
+handles, multigrid hierarchies) hold
 foreign-memory state that does not pickle; do **not** ship operators or
 steppers across process boundaries — ship the grid (cheap, declarative)
 and call :meth:`ThermalOperator.for_grid` on the worker side instead.
@@ -93,24 +88,14 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse import diags
-from scipy.sparse.linalg import factorized, spilu
+from scipy.sparse.linalg import factorized
 
 from ..tech.parameters import TechnologyError
 from .grid import TemperatureMap, ThermalGrid
 from .multigrid import GeometricMultigrid
 from .power import PowerMap
 
-__all__ = [
-    "ThermalOperator",
-    "ThermalStepper",
-    "SOLVE_METHODS",
-]
-
-#: The solve methods an operator can be asked for (see the module
-#: docstring's table).  ``auto`` resolves to ``direct`` at or below
-#: :attr:`ThermalOperator.iterative_threshold` unknowns and to
-#: ``multigrid`` above it.
-SOLVE_METHODS = ("auto", "direct", "iterative", "multigrid")
+__all__ = ["ThermalOperator", "ThermalStepper"]
 
 #: Process-wide operator cache.  Bounded so a long-running sweep over
 #: many distinct grid geometries cannot grow it without limit; eviction
@@ -137,30 +122,29 @@ _OPERATORS: "OrderedDict[Tuple, ThermalOperator]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 
 #: Relative residual tolerance of the CG solves.  Tight enough that
-#: the iterative paths agree with the sparse-direct factorization to
+#: the multigrid path agrees with the sparse-direct factorization to
 #: better than 1e-8 relative on the thermal systems here (the
 #: equivalence bound the tests and benchmarks pin).
 _CG_RTOL = 1e-12
 
 
 class _IterativeSolve:
-    """Batched preconditioned-CG drop-in for a ``factorized`` callable.
+    """Batched multigrid-preconditioned CG drop-in for a ``factorized``
+    callable.
 
     Built once per system matrix (like a factorization, minus the
-    fill-in): the preconditioner — a geometric-multigrid V-cycle or an
-    ILU, per the operator's method — is computed at construction and
-    every :meth:`__call__` runs warm-started CG.  Accepts the same
-    ``(n,)`` vector or ``(n, k)`` stack a direct factorization does.
+    fill-in): the geometric-multigrid hierarchy is computed at
+    construction and every :meth:`__call__` runs warm-started CG.
+    Accepts the same ``(n,)`` vector or ``(n, k)`` stack a direct
+    factorization does.
 
     A stack solves as a true **block**: every CG iteration performs one
-    sparse matrix-vector product and one preconditioner application on
-    the whole ``(n, k)`` array, with scalar recurrences (``alpha``,
-    ``beta``) tracked per column.  Columns that reach the tolerance are
-    masked out of the updates (their ``alpha`` is zeroed, freezing both
-    solution and residual) while the rest keep iterating, so a stack is
-    never slower than its hardest column.  ``solve_columns_loop``
-    retains the old one-column-at-a-time behaviour as the equivalence
-    oracle the batched-RHS benchmark measures against.
+    sparse matrix-vector product and one V-cycle on the whole ``(n, k)``
+    array, with scalar recurrences (``alpha``, ``beta``) tracked per
+    column.  Columns that reach the tolerance are masked out of the
+    updates (their ``alpha`` is zeroed, freezing both solution and
+    residual) while the rest keep iterating, so a stack is never slower
+    than its hardest column.
 
     Warm starts are keyed by the RHS shape: the previous ``(n,)``
     steady solution never pollutes the initial guess of an ``(n, 16)``
@@ -168,47 +152,20 @@ class _IterativeSolve:
     cross-caller pollution the old shared ``_last_solution`` suffered.
     """
 
-    def __init__(
-        self,
-        matrix,
-        preconditioner: str = "ilu",
-        grid_shape: Optional[Tuple[int, int]] = None,
-    ) -> None:
+    def __init__(self, matrix, grid_shape: Tuple[int, int]) -> None:
         self._matrix = matrix.tocsr()
         self._size = int(self._matrix.shape[0])
-        if preconditioner == "multigrid":
-            if grid_shape is None:
-                raise TechnologyError(
-                    "the multigrid preconditioner needs the grid's (ny, nx)"
-                )
-            self._preconditioner: Optional[Callable[[np.ndarray], np.ndarray]] = (
-                GeometricMultigrid(self._matrix, grid_shape)
-            )
-        elif preconditioner == "ilu":
-            self._preconditioner = self._build_ilu()
-        else:  # pragma: no cover - guarded by _prepare
-            raise TechnologyError(
-                f"unknown preconditioner {preconditioner!r}"
-            )
+        self._preconditioner: Callable[[np.ndarray], np.ndarray] = GeometricMultigrid(
+            self._matrix, grid_shape
+        )
         # Jacobi fallback: the diagonal is strictly positive (every cell
         # carries a vertical conductance) and the operator is exactly
-        # symmetric, so CG is guaranteed to converge with it even when
-        # the (unsymmetric) ILU stalls or cannot be built.
+        # symmetric, so CG is guaranteed to converge with it should the
+        # V-cycle ever stall.
         self._inverse_diagonal = 1.0 / self._matrix.diagonal()
         self._warm_starts: "OrderedDict[Tuple, np.ndarray]" = OrderedDict()
         #: CG iterations of the most recent solve (diagnostics/tests).
         self.last_iterations = 0
-
-    def _build_ilu(self) -> Optional[Callable[[np.ndarray], np.ndarray]]:
-        # A tight drop tolerance keeps the ILU close to symmetric (CG's
-        # theory wants an SPD preconditioner); memory stays linear in
-        # the unknown count — fill_factor bounds it by a multiple of
-        # the five-point stencil's nonzeros, nothing like direct fill-in.
-        try:
-            ilu = spilu(self._matrix.tocsc(), drop_tol=1e-6, fill_factor=20.0)
-        except (RuntimeError, ValueError, MemoryError):
-            return None
-        return ilu.solve  # SuperLU solves (n,) and (n, k) alike
 
     def _jacobi(self, residual: np.ndarray) -> np.ndarray:
         return self._inverse_diagonal[:, np.newaxis] * residual
@@ -227,9 +184,9 @@ class _IterativeSolve:
         ``(k,)`` boolean mask; the per-column criterion is
         ``||r_j|| <= rtol * ||b_j||`` (matching scipy's ``cg`` with
         ``atol=0``).  ``maxiter`` caps the iteration count (the
-        benchmarks use a small cap to price a known-slow preconditioner
-        without waiting for it); the default runs to the system size,
-        bounded at 1000.
+        benchmarks raise it to run the Jacobi baseline to convergence on
+        the full-die grid); the default runs to the system size, bounded
+        at 1000.
         """
         matrix = self._matrix
         # Convergence is tested on squared norms (one einsum per
@@ -280,14 +237,10 @@ class _IterativeSolve:
             self._warm_starts.move_to_end(key)
         else:
             x0 = np.zeros_like(rhs)
-        if self._preconditioner is not None:
-            solution, converged = self._block_cg(rhs, x0, self._preconditioner)
-        else:
-            converged = np.zeros(rhs.shape[1], dtype=bool)
+        solution, converged = self._block_cg(rhs, x0, self._preconditioner)
         if not converged.all():
-            # Retry the unconverged columns (all of them, if the main
-            # preconditioner was unavailable) with the guaranteed-SPD
-            # Jacobi preconditioner before giving up.
+            # Retry with the guaranteed-SPD Jacobi preconditioner before
+            # giving up.
             solution, converged = self._block_cg(rhs, x0, self._jacobi)
             if not converged.all():
                 failed = int(np.count_nonzero(~converged))
@@ -307,39 +260,6 @@ class _IterativeSolve:
             return self._solve_block(rhs[:, np.newaxis], ("vec",))[:, 0]
         return self._solve_block(rhs, ("stack", rhs.shape[1]))
 
-    def solve_columns_loop(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve an ``(n, k)`` stack one column at a time (the oracle).
-
-        This is the pre-batching behaviour — ``k`` sequential CG runs,
-        each paying its own preconditioner applications — kept as the
-        equivalence/benchmark baseline for the block path.  Columns are
-        solved cold (no warm-start state is read or written) so the
-        comparison is deterministic.
-        """
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.ndim != 2:
-            raise TechnologyError("solve_columns_loop expects an (n, k) stack")
-        columns = []
-        apply_m = (
-            self._preconditioner if self._preconditioner is not None else self._jacobi
-        )
-        for k in range(rhs.shape[1]):
-            column = rhs[:, k : k + 1]
-            solution, converged = self._block_cg(
-                column, np.zeros_like(column), apply_m
-            )
-            if not converged.all():
-                solution, converged = self._block_cg(
-                    column, np.zeros_like(column), self._jacobi
-                )
-                if not converged.all():
-                    raise TechnologyError(
-                        f"iterative thermal solve did not converge on column {k} "
-                        f"of the {self._size}-unknown system"
-                    )
-            columns.append(solution[:, 0])
-        return np.stack(columns, axis=1)
-
 
 class ThermalStepper:
     """One backward-Euler integrator bound to a prepared system solve.
@@ -348,7 +268,7 @@ class ThermalStepper:
     temperature *rise* vector by one timestep per :meth:`step` call.
     The implicit system ``(C/dt + G) x_{n+1} = P + C/dt x_n`` was
     prepared once when the stepper was created (factorized sparse-direct
-    or preconditioned CG, per the operator's method), so each step is a
+    or multigrid CG, per the operator's grid size), so each step is a
     pair of triangular solves or a warm-started Krylov solve — and an
     ``(n, k)`` stack of states advances in one multi-RHS/block solve
     either way.
@@ -391,28 +311,21 @@ class ThermalStepper:
 class ThermalOperator:
     """Cached solver (direct factorizations or CG) for one thermal grid.
 
-    Parameters
-    ----------
-    grid:
-        The thermal RC network.
-    method:
-        One of :data:`SOLVE_METHODS`.  ``auto`` (the default) picks
-        sparse-direct factorization up to
-        :attr:`iterative_threshold` unknowns and the multigrid-CG
-        path above it; ``direct``/``iterative``/``multigrid`` force the
-        choice.
+    The grid size picks the solver: sparse-direct factorization up to
+    :attr:`iterative_threshold` unknowns, multigrid-preconditioned CG
+    above it (see the module docstring).
     """
 
-    #: Unknown count above which ``method="auto"`` routes solves through
+    #: Unknown count above which solves route through
     #: multigrid-preconditioned CG instead of sparse-direct
     #: factorization.  A class attribute so deployments with more (or
     #: less) memory can retune it (``ThermalOperator.iterative_threshold
     #: = ...``).
     iterative_threshold: int = 4096
 
-    def __init__(self, grid: ThermalGrid, method: str = "auto") -> None:
+    def __init__(self, grid: ThermalGrid) -> None:
         self.grid = grid
-        self.method = self._resolve_method(grid, method)
+        self._method = self._method_for(grid)
         self._steady_solve: Optional[Callable[[np.ndarray], np.ndarray]] = None
         self._transient_solves: "OrderedDict[float, Callable[[np.ndarray], np.ndarray]]" = (
             OrderedDict()
@@ -422,28 +335,21 @@ class ThermalOperator:
         # (wasted work) or interleave the stepper cache's insert/evict.
         self._solve_lock = threading.Lock()
 
+    @property
+    def method(self) -> str:
+        """The solver the grid size picked: ``direct`` or ``multigrid``."""
+        return self._method
+
     @classmethod
-    def _resolve_method(cls, grid: ThermalGrid, method: str) -> str:
-        if method not in SOLVE_METHODS:
-            raise TechnologyError(
-                f"unknown solve method {method!r}; choose one of {SOLVE_METHODS}"
-            )
-        if method != "auto":
-            return method
+    def _method_for(cls, grid: ThermalGrid) -> str:
         if grid.nx * grid.ny > cls.iterative_threshold:
             return "multigrid"
         return "direct"
 
     def _prepare(self, matrix) -> Callable[[np.ndarray], np.ndarray]:
-        """A solve callable for one SPD system, per the chosen method."""
-        if self.method == "multigrid":
-            return _IterativeSolve(
-                matrix,
-                preconditioner="multigrid",
-                grid_shape=(self.grid.ny, self.grid.nx),
-            )
-        if self.method == "iterative":
-            return _IterativeSolve(matrix, preconditioner="ilu")
+        """A solve callable for one SPD system, per the grid's solver."""
+        if self._method == "multigrid":
+            return _IterativeSolve(matrix, (self.grid.ny, self.grid.nx))
         return factorized(matrix.tocsc())
 
     # ------------------------------------------------------------------ #
@@ -451,15 +357,15 @@ class ThermalOperator:
     # ------------------------------------------------------------------ #
 
     @classmethod
-    def _cache_key(cls, grid: ThermalGrid, method: str = "auto") -> Tuple:
-        """The matrix-defining fingerprint of a grid (plus solve method).
+    def _cache_key(cls, grid: ThermalGrid) -> Tuple:
+        """The matrix-defining fingerprint of a grid (plus its solver).
 
         Two grids with equal geometry and physical parameters build
         bit-identical conductance/capacitance matrices, so they may
         share one operator (and therefore one factorization).  The
-        *resolved* method joins the key so an explicit
-        ``method="iterative"`` request does not hand back a cached
-        direct operator (or vice versa).
+        chosen solver joins the key so an operator cached under a
+        retuned :attr:`iterative_threshold` is not handed back once the
+        threshold changes.
         """
         return (
             grid.width_mm,
@@ -467,11 +373,11 @@ class ThermalOperator:
             grid.nx,
             grid.ny,
             grid.parameters,
-            cls._resolve_method(grid, method),
+            cls._method_for(grid),
         )
 
     @classmethod
-    def for_grid(cls, grid: ThermalGrid, method: str = "auto") -> "ThermalOperator":
+    def for_grid(cls, grid: ThermalGrid) -> "ThermalOperator":
         """The shared operator of a grid (cached process-wide, thread-safe).
 
         Cache hits refresh the entry's recency (LRU), so a workload
@@ -483,11 +389,11 @@ class ThermalOperator:
         its own (see the module docstring) — never pickle an operator
         across a process boundary, re-request it from the grid instead.
         """
-        key = cls._cache_key(grid, method)
+        key = cls._cache_key(grid)
         with _CACHE_LOCK:
             operator = _OPERATORS.get(key)
             if operator is None:
-                operator = cls(grid, method)
+                operator = cls(grid)
                 _OPERATORS[key] = operator
                 while len(_OPERATORS) > _CACHE_LIMIT:
                     _OPERATORS.popitem(last=False)
@@ -523,7 +429,7 @@ class ThermalOperator:
         ``power_w`` may be a single ``(n,)`` vector or an ``(n, k)``
         stack of right-hand sides; the direct path applies the
         factorization to the whole stack in one multi-RHS solve, the
-        iterative paths run one *block* CG (one SpMV per iteration for
+        multigrid path runs one *block* CG (one SpMV per iteration for
         the whole stack).
         """
         rhs = np.asarray(power_w, dtype=float)
@@ -581,9 +487,9 @@ class ThermalOperator:
         transient run with the same step — every control interval of a
         DTM simulation, every repeat of a study — shares it.
         """
-        if timestep_s <= 0.0:
-            raise TechnologyError("timestep must be positive")
         dt = float(timestep_s)
+        if not 0.0 < dt < np.inf:
+            raise TechnologyError(f"timestep must be positive and finite, got {dt!r}")
         with self._solve_lock:
             solve = self._transient_solves.get(dt)
             if solve is None:
@@ -601,7 +507,7 @@ class ThermalOperator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"ThermalOperator({self.grid.ny}x{self.grid.nx}, {self.method}, "
+            f"ThermalOperator({self.grid.ny}x{self.grid.nx}, {self._method}, "
             f"steady={'cached' if self._steady_solve is not None else 'cold'}, "
             f"timesteps={sorted(self._transient_solves)})"
         )

@@ -1,12 +1,11 @@
-"""Steady-state and transient solvers for the thermal grid.
+"""Transient solver for the thermal grid.
 
-Both solvers are thin layers over
+:func:`solve_transient` is a thin layer over
 :class:`repro.thermal.operator.ThermalOperator`, which owns (and caches,
-process-wide) the sparse-direct factorizations: repeated steady-state
-solves on the same grid geometry — a thermal-mapping scan per workload,
-the self-heating duty-cycle pair — reuse one factorization of ``G``, and
-repeated transient runs with the same timestep reuse one factorization
-of the backward-Euler system ``(C/dt + G)``.
+process-wide) the prepared solves: repeated transient runs with the same
+grid and timestep reuse one preparation of the backward-Euler system
+``(C/dt + G)``.  Steady-state fields come straight from the operator,
+``ThermalOperator.for_grid(grid).solve_steady_state(power, ambient_c)``.
 """
 
 from __future__ import annotations
@@ -21,25 +20,7 @@ from .grid import TemperatureMap, ThermalGrid
 from .operator import ThermalOperator
 from .power import PowerMap
 
-__all__ = ["solve_steady_state", "TransientThermalResult", "solve_transient"]
-
-
-def solve_steady_state(
-    grid: ThermalGrid, power: PowerMap, ambient_c: float = 45.0, method: str = "auto"
-) -> TemperatureMap:
-    """Steady-state junction temperatures for a constant power map.
-
-    Solves ``G * dT = P`` for the temperature rise above ambient and adds
-    the ambient temperature.  ``ambient_c`` represents the local ambient
-    (board/package) temperature, not the room.  The prepared solve comes
-    from the shared :class:`ThermalOperator` cache, so repeated solves on
-    equal grids cost one factorization total; ``method`` picks the solve
-    (``auto``/``direct``/``iterative``/``multigrid`` — grids above the
-    operator's unknown-count threshold route through geometric-multigrid
-    preconditioned CG automatically, keeping both memory and iteration
-    count bounded where a factorization's fill-in won't fit).
-    """
-    return ThermalOperator.for_grid(grid, method).solve_steady_state(power, ambient_c)
+__all__ = ["TransientThermalResult", "solve_transient"]
 
 
 @dataclass(frozen=True)
@@ -76,7 +57,6 @@ def solve_transient(
     ambient_c: float = 45.0,
     initial: Optional[TemperatureMap] = None,
     store_every: int = 1,
-    method: str = "auto",
 ) -> TransientThermalResult:
     """Integrate the thermal network over time (backward Euler).
 
@@ -98,14 +78,13 @@ def solve_transient(
         Starting temperature field; uniform ambient when omitted.
     store_every:
         Keep every n-th step in the result.
-    method:
-        Solve method (``auto``/``direct``/``iterative``/``multigrid``);
-        ``auto`` switches to multigrid-preconditioned CG above the
-        operator's unknown-count threshold, keeping full-die resolutions
-        one warm-started block solve per step.
+
+    The grid's operator picks the solver from the grid size (a direct
+    factorization on small grids, multigrid-preconditioned CG on large
+    ones), so full-die resolutions stay one warm-started solve per step.
     """
-    if duration_s <= 0.0 or timestep_s <= 0.0:
-        raise TechnologyError("duration and timestep must be positive")
+    if not (0.0 < duration_s < np.inf and 0.0 < timestep_s < np.inf):
+        raise TechnologyError("duration and timestep must be positive and finite")
     if store_every < 1:
         raise TechnologyError("store_every must be >= 1")
     steps = int(np.ceil(duration_s / timestep_s))
@@ -113,7 +92,7 @@ def solve_transient(
         raise TechnologyError("duration must span at least one timestep")
 
     size = grid.nx * grid.ny
-    stepper = ThermalOperator.for_grid(grid, method).stepper(timestep_s)
+    stepper = ThermalOperator.for_grid(grid).stepper(timestep_s)
 
     if initial is None:
         state = np.zeros(size)

@@ -16,7 +16,6 @@ from repro.core import (
     ReadoutConfig,
     SensorBank,
     SmartTemperatureSensor,
-    ThrottlingPolicy,
 )
 from repro.oscillator import RingConfiguration, RingOscillator, analytical_response
 from repro.tech import CMOS035
@@ -130,16 +129,11 @@ def sensor_bank_factory(library, sensor_floorplan_factory):
 def dtm_manager_factory(sensor_floorplan_factory):
     """Builder for a calibrated DTM manager on the example processor."""
 
-    def build(
-        policy: ThrottlingPolicy = None,
-        grid_resolution: int = 12,
-        sensor_grid: int = 2,
-    ) -> DynamicThermalManager:
+    def build(grid_resolution: int = 12, sensor_grid: int = 2) -> DynamicThermalManager:
         return DynamicThermalManager(
             CMOS035,
             sensor_floorplan_factory(sensor_grid),
             RingConfiguration.parse("2INV+3NAND2"),
-            policy=policy or ThrottlingPolicy(),
             readout=ReadoutConfig(),
             grid_resolution=grid_resolution,
         )

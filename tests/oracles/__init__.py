@@ -15,7 +15,11 @@ equivalence suites and the engine benchmarks compare against:
 * :mod:`.sensors` — one counter conversion per temperature, one smart
   sensor per bank site, the per-site period loop, the multiplexer scan
   and the per-sample calibration study;
-* :mod:`.thermal` — one steady-state solve per self-heating duty cycle.
+* :mod:`.thermal` — one CG run per column of a multigrid block solve
+  and one steady-state solve per self-heating duty cycle;
+* :mod:`.dtm` — one closed loop per throttling policy (the scalar FSM
+  step, a single-column backward-Euler step and one sensor-bank scan
+  per control interval).
 
 Each oracle returns the same result type as the function it pins, so a
 test compares the two field by field.
@@ -42,7 +46,12 @@ from .sensors import (
     transfer_function_scalar,
     worst_case_error_c_scalar,
 )
-from .thermal import duty_cycle_study_scalar, run_selfheating_study_scalar
+from .dtm import next_state_index, run_policy_loop
+from .thermal import (
+    duty_cycle_study_scalar,
+    run_selfheating_study_scalar,
+    solve_columns_loop,
+)
 
 __all__ = [
     "analytical_response_scalar",
@@ -51,15 +60,18 @@ __all__ = [
     "evaluate_configuration_scalar",
     "measurement_errors_scalar",
     "monitor_scan_scalar",
+    "next_state_index",
     "period_matrix_loop",
     "period_matrix_scalar",
     "period_series_scalar",
     "run_calibration_study_scalar",
     "run_monte_carlo_scalar",
+    "run_policy_loop",
     "run_scaling_study_loop",
     "run_selfheating_study_scalar",
     "scan_loop",
     "site_period_tensor_loop",
+    "solve_columns_loop",
     "supply_sensitivity_scalar",
     "sweep_width_ratio_scalar",
     "transfer_function_scalar",

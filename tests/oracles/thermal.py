@@ -1,18 +1,50 @@
-"""Thermal oracles: one steady-state solve per self-heating duty cycle."""
+"""Thermal oracles: one CG run per right-hand side, one steady-state
+solve per self-heating duty cycle."""
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.core import ReadoutConfig
 from repro.engine import Axis, Sweep
 from repro.experiments.selfheating_study import SelfHeatingStudyResult
 from repro.oscillator.config import RingConfiguration
 from repro.tech.libraries import CMOS035
-from repro.tech.parameters import Technology
+from repro.tech.parameters import Technology, TechnologyError
 from repro.thermal import Floorplan, PowerMap
 from repro.thermal.grid import ThermalGridParameters
 from repro.thermal.selfheating import SelfHeatingReport, self_heating_error
+
+
+def solve_columns_loop(solve, rhs: np.ndarray) -> np.ndarray:
+    """Oracle of a multigrid solve's block CG: an ``(n, k)`` stack solved
+    one column at a time.
+
+    ``solve`` is the prepared multigrid solve of a large-grid
+    :class:`~repro.thermal.ThermalOperator` (``operator.steady_solve()``
+    or a stepper's solve).  Each column is its own CG run, paying its
+    own V-cycles, with the same Jacobi retry as the block path.
+    Columns are solved cold (no warm-start state is read or written),
+    so the comparison is deterministic.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    if rhs.ndim != 2:
+        raise TechnologyError("solve_columns_loop expects an (n, k) stack")
+    columns = []
+    for k in range(rhs.shape[1]):
+        column = rhs[:, k : k + 1]
+        x0 = np.zeros_like(column)
+        solution, converged = solve._block_cg(column, x0, solve._preconditioner)
+        if not converged.all():
+            solution, converged = solve._block_cg(column, x0, solve._jacobi)
+            if not converged.all():
+                raise TechnologyError(
+                    f"iterative thermal solve did not converge on column {k}"
+                )
+        columns.append(solution[:, 0])
+    return np.stack(columns, axis=1)
 
 
 def duty_cycle_study_scalar(

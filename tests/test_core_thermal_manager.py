@@ -8,14 +8,21 @@ from repro.core import (
     DtmTracePoint,
     DynamicThermalManager,
     PerformanceState,
+    PolicyBank,
     ThrottlingPolicy,
 )
+from repro.experiments.dtm_study import never_throttle_policy
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError
 from repro.thermal import Floorplan, TemperatureMap
+from tests.oracles import next_state_index
 
 # Managers come from the shared dtm_manager_factory fixture in
 # conftest.py (the policy-bank suite builds the same ones).
+
+RUN_KW = dict(
+    duration_s=0.6, control_interval_s=0.03, limit_c=115.0, workload_scale=1.6
+)
 
 
 class TestPolicyValidation:
@@ -45,41 +52,52 @@ class TestPolicyValidation:
             PerformanceState("bad", power_scale=2.0, performance=1.0)
 
 
+def step(policy, index, reading):
+    """One FSM step through the oracle and a one-policy bank, which agree."""
+    banked = PolicyBank([policy]).next_state_indices(
+        np.asarray([index]), np.asarray([reading])
+    )
+    expected = next_state_index(policy, index, reading)
+    assert int(banked[0]) == expected
+    return expected
+
+
 class TestPolicyStepLogic:
     def test_hot_reading_steps_down(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(0, 112.0) == 1
-        assert policy.next_state_index(1, 112.0) == 2
+        assert step(policy, 0, 112.0) == 1
+        assert step(policy, 1, 112.0) == 2
 
     def test_emergency_jumps_to_last_state(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(0, 130.0) == len(policy.states) - 1
+        assert step(policy, 0, 130.0) == len(policy.states) - 1
 
     def test_cool_reading_steps_back_up(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(2, 80.0) == 1
-        assert policy.next_state_index(0, 80.0) == 0
+        assert step(policy, 2, 80.0) == 1
+        assert step(policy, 0, 80.0) == 0
 
     def test_hysteresis_band_holds_state(self):
         policy = ThrottlingPolicy()
-        assert policy.next_state_index(1, 100.0) == 1
+        assert step(policy, 1, 100.0) == 1
 
 
 def make_result(state_names, limit_c=115.0, interval_s=0.02):
     """A synthetic DtmResult visiting the named states in order."""
     states = {
-        "full-speed": (12.0, 1.0),
-        "throttled": (7.2, 0.6),
-        "emergency": (3.0, 0.2),
+        "full-speed": (0, 12.0, 1.0),
+        "throttled": (1, 7.2, 0.6),
+        "emergency": (2, 3.0, 0.2),
     }
     trace = tuple(
         DtmTracePoint(
             time_s=(index + 1) * interval_s,
             state_name=name,
-            power_w=states[name][0],
+            state_index=states[name][0],
+            power_w=states[name][1],
             true_peak_c=100.0 + 5.0 * index,
             hottest_reading_c=100.0 + 5.0 * index,
-            performance=states[name][1],
+            performance=states[name][2],
         )
         for index, name in enumerate(state_names)
     )
@@ -108,6 +126,12 @@ class TestDtmResultMetrics:
     def test_emergency_jump_is_one_event(self):
         assert make_result(["full-speed", "emergency"]).throttle_events() == 1
 
+    def test_release_after_emergency_is_not_an_event(self):
+        # States rank by policy order, not by first appearance: the step
+        # from emergency down to throttled is a release.
+        result = make_result(["full-speed", "emergency", "throttled"])
+        assert result.throttle_events() == 1
+
     def test_state_occupancy_fractions(self):
         result = make_result(
             ["full-speed", "throttled", "throttled", "full-speed"]
@@ -125,13 +149,15 @@ class TestDtmResultMetrics:
         assert result.average_performance() == pytest.approx((1.0 + 0.6 + 0.2) / 3.0)
 
 
+def run_one(manager, policy):
+    """The closed loop of a single policy (a one-policy bank)."""
+    return manager.run_bank({"only": policy}, **RUN_KW).to_result("only")
+
+
 class TestClosedLoop:
     @pytest.fixture(scope="class")
     def managed_run(self, dtm_manager_factory):
-        manager = dtm_manager_factory()
-        return manager.run(
-            duration_s=0.6, control_interval_s=0.03, limit_c=115.0, workload_scale=1.6
-        )
+        return run_one(dtm_manager_factory(), ThrottlingPolicy())
 
     def test_trace_covers_duration(self, managed_run):
         assert managed_run.trace[-1].time_s == pytest.approx(0.6, abs=0.03)
@@ -148,9 +174,7 @@ class TestClosedLoop:
             release_threshold_c=900.0,
             emergency_threshold_c=1100.0,
         )
-        unmanaged = dtm_manager_factory(policy=unmanaged_policy).run(
-            duration_s=0.6, control_interval_s=0.03, limit_c=115.0, workload_scale=1.6
-        )
+        unmanaged = run_one(dtm_manager_factory(), unmanaged_policy)
         assert managed_run.peak_temperature_c() < unmanaged.peak_temperature_c()
 
     def test_performance_metrics_consistent(self, managed_run):
@@ -159,28 +183,21 @@ class TestClosedLoop:
         assert sum(occupancy.values()) == pytest.approx(1.0)
 
     def test_policy_override_runs_same_manager_unmanaged(self, managed_run, dtm_manager_factory):
-        unmanaged = dtm_manager_factory().run(
-            duration_s=0.6,
-            control_interval_s=0.03,
-            limit_c=115.0,
-            workload_scale=1.6,
-            policy=ThrottlingPolicy(
-                throttle_threshold_c=10_000.0,
-                release_threshold_c=9_000.0,
-                emergency_threshold_c=11_000.0,
-            ),
-        )
+        unmanaged = run_one(dtm_manager_factory(), never_throttle_policy())
         assert {point.state_name for point in unmanaged.trace} == {"full-speed"}
         assert unmanaged.peak_temperature_c() > managed_run.peak_temperature_c()
 
     def test_invalid_run_arguments_rejected(self, dtm_manager_factory):
         manager = dtm_manager_factory()
+        policies = [ThrottlingPolicy()]
         with pytest.raises(TechnologyError):
-            manager.run(duration_s=0.0)
+            manager.run_bank(policies, duration_s=0.0)
         with pytest.raises(TechnologyError):
-            manager.run(duration_s=0.1, control_interval_s=0.2)
+            manager.run_bank(policies, duration_s=0.1, control_interval_s=0.2)
         with pytest.raises(TechnologyError):
-            manager.run(duration_s=0.1, control_interval_s=0.01, workload_scale=-1.0)
+            manager.run_bank(
+                policies, duration_s=0.1, control_interval_s=0.01, workload_scale=-1.0
+            )
 
     def test_requires_floorplan_with_sensor_sites(self):
         with pytest.raises(TechnologyError):

@@ -5,6 +5,8 @@ The loops the broadcast paths replaced are reference oracles in
 grow a switch back to them, and no public class may keep one as a
 ``*_loop`` method.  Each setting likewise has one channel: an explicit
 argument (or a ``repro-serve`` flag), never an environment variable.
+The thermal solver has one way in, :class:`repro.thermal.ThermalOperator`,
+whose grid size picks the solver: no entry point takes a solve method.
 """
 
 import importlib
@@ -18,16 +20,37 @@ import pytest
 import repro
 import repro.engine
 import repro.serve
+import repro.thermal
 import repro.thermal.operator
+import repro.thermal.solver
+from repro.core import DynamicThermalManager, ThrottlingPolicy
+from repro.engine import Axis
+from repro.experiments.placement_study import run_placement_study
 from repro.experiments.runner import main as runner_main
+from repro.thermal import ThermalOperator, solve_transient
 
 #: Parameter names that select an evaluation mode instead of an input.
-MODE_SWITCHES = {"scalar", "vectorized", "evaluator", "use_technology_axis"}
+MODE_SWITCHES = {
+    "scalar",
+    "vectorized",
+    "evaluator",
+    "use_technology_axis",
+    "solve_method",
+}
 
-#: The one ``*_loop`` method the package keeps: the thermal operator's
-#: column-at-a-time solve, whose oracle needs the iterative solver's
-#: private CG state.
-ALLOWED_LOOP_METHODS = {"ThermalOperator.solve_columns_loop"}
+#: ``*_loop`` methods the package may keep (none: every oracle loop
+#: lives in ``tests/oracles/``).
+ALLOWED_LOOP_METHODS = set()
+
+#: Every entry point that reaches the thermal solver.
+THERMAL_ENTRY_POINTS = {
+    "ThermalOperator": ThermalOperator,
+    "ThermalOperator.for_grid": ThermalOperator.for_grid,
+    "solve_transient": solve_transient,
+    "Axis.resolution": Axis.resolution,
+    "DynamicThermalManager": DynamicThermalManager,
+    "run_placement_study": run_placement_study,
+}
 
 
 def _public_modules():
@@ -122,3 +145,28 @@ def test_runner_offers_only_experiment_options(capsys):
     assert exit_info.value.code == 0
     options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
     assert options == {"--help", "--technology", "--experiment", "--list", "--output"}
+
+
+@pytest.mark.parametrize("name", sorted(THERMAL_ENTRY_POINTS))
+def test_no_thermal_entry_point_takes_a_solver_or_policy_switch(name):
+    parameters = inspect.signature(THERMAL_ENTRY_POINTS[name]).parameters
+    assert {"method", "solve_method", "policy"}.isdisjoint(parameters)
+
+
+def test_deleted_solver_paths_are_absent():
+    assert not hasattr(repro.thermal.solver, "solve_steady_state")
+    for package in (repro, repro.thermal):
+        assert "solve_steady_state" not in package.__all__
+        assert "SOLVE_METHODS" not in package.__all__
+    assert not hasattr(repro.thermal.operator, "SOLVE_METHODS")
+    assert not hasattr(DynamicThermalManager, "run")
+    assert not hasattr(ThrottlingPolicy, "next_state_index")
+    root = Path(repro.__path__[0])
+    pattern = re.compile(r"\b(SOLVE_METHODS|spilu|solve_columns_loop|next_state_index)\b")
+    sites = [
+        f"{path.relative_to(root.parent)}:{number}"
+        for path in sorted(root.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert sites == []

@@ -3,8 +3,8 @@
 The :class:`repro.core.PolicyBank` contract is that one banked closed
 loop (:meth:`DynamicThermalManager.run_bank` — a single multi-RHS
 backward-Euler solve, bilinear site gather, broadcast sensor scan and
-vectorized FSM step per timestep) computes exactly what the retained
-scalar :meth:`DynamicThermalManager.run` oracle computes policy by
+vectorized FSM step per timestep) computes exactly what the per-policy
+closed-loop oracle (``tests/oracles/dtm.py``) computes policy by
 policy: *identical* throttle decisions and temperatures to 1e-9
 relative.  The example-processor policy sweep's headline numbers are
 pinned as golden values, and the sweep engine's ``resolution`` axis is
@@ -23,6 +23,7 @@ from repro.experiments.dtm_study import example_policy_set, never_throttle_polic
 from repro.tech import CMOS035, TechnologyError, sample_technology_array
 from repro.tech.stacked import stack_technologies
 from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
+from tests.oracles import next_state_index, run_policy_loop
 
 RTOL = 1e-9
 
@@ -92,7 +93,7 @@ class TestPolicyBankStructure:
         bank = PolicyBank(sampled)
         stepped = bank.next_state_indices(np.asarray(indices), np.asarray(readings))
         for p, policy in enumerate(sampled):
-            assert stepped[p] == policy.next_state_index(indices[p], readings[p])
+            assert stepped[p] == next_state_index(policy, indices[p], readings[p])
 
     def test_state_gathers_match_policy_states(self):
         bank = PolicyBank([ThrottlingPolicy(), never_throttle_policy()])
@@ -110,7 +111,7 @@ def manager(dtm_manager_factory):
 
 
 class TestBankedEquivalence:
-    """run_bank versus the scalar run(policy=...) oracle."""
+    """run_bank versus the per-policy closed-loop oracle."""
 
     @pytest.mark.slow
     @given(sampled=st.lists(policies(), min_size=2, max_size=4))
@@ -120,11 +121,11 @@ class TestBankedEquivalence:
     def test_banked_run_matches_scalar_oracle(self, manager, sampled):
         banked = manager.run_bank(sampled, **RUN_KW)
         for label, policy in zip(banked.labels, sampled):
-            scalar = manager.run(policy=policy, **RUN_KW)
+            scalar = run_policy_loop(manager, policy, **RUN_KW)
             row = banked.to_result(label)
             # Throttle decisions bit-match ...
-            assert [p.state_name for p in row.trace] == [
-                p.state_name for p in scalar.trace
+            assert [(p.state_name, p.state_index) for p in row.trace] == [
+                (p.state_name, p.state_index) for p in scalar.trace
             ]
             # ... and every recorded quantity agrees to 1e-9 relative.
             for attribute in ("true_peak_c", "hottest_reading_c", "power_w"):
@@ -207,6 +208,20 @@ class TestBankedEquivalence:
                 control_interval_s=0.01,
                 workload_scale=-1.0,
             )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argument", ["duration_s", "control_interval_s", "workload_scale"]
+    )
+    def test_run_bank_rejects_non_finite_inputs(self, manager, argument, bad):
+        grid = ThermalGrid.for_power_map(
+            manager.base_power_map, manager.monitor.thermal_parameters
+        )
+        operator = ThermalOperator.for_grid(grid)
+        cached = list(operator._transient_solves)
+        with pytest.raises(TechnologyError):
+            manager.run_bank([ThrottlingPolicy()], **dict(RUN_KW, **{argument: bad}))
+        assert list(operator._transient_solves) == cached
 
 
 class TestResolutionAxisLowering:

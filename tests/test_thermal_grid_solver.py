@@ -9,9 +9,9 @@ from repro.thermal import (
     TemperatureMap,
     ThermalGrid,
     ThermalGridParameters,
+    ThermalOperator,
     duty_cycle_study,
     self_heating_error,
-    solve_steady_state,
     solve_transient,
 )
 
@@ -48,45 +48,61 @@ class TestGridConstruction:
 
 class TestSteadyState:
     def test_uniform_power_gives_uniform_rise(self, uniform_grid, uniform_power_map):
-        result = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        result = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         rise = result.values_c - 45.0
         assert np.all(rise > 0.0)
         # Uniform power on a uniform grid: nearly uniform temperature.
         assert result.gradient_c() < 0.5
 
     def test_average_rise_matches_theta_ja(self, uniform_grid, uniform_power_map):
-        result = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        result = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         theta = uniform_grid.junction_to_ambient_resistance_k_per_w()
         expected = 10.0 * theta
         assert result.mean_c() - 45.0 == pytest.approx(expected, rel=0.05)
 
     def test_linearity_in_power(self, uniform_grid, uniform_power_map):
-        single = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=0.0)
-        double = solve_steady_state(uniform_grid, uniform_power_map.scaled(2.0), ambient_c=0.0)
+        single = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=0.0
+        )
+        double = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map.scaled(2.0), ambient_c=0.0
+        )
         assert np.allclose(double.values_c, 2.0 * single.values_c, rtol=1e-9)
 
     def test_hotspot_located_at_point_source(self, uniform_grid):
         power = PowerMap.zeros(8.0, 8.0, 12, 12)
         power.add_point_source(2.0, 6.0, 3.0)
-        result = solve_steady_state(uniform_grid, power, ambient_c=45.0)
+        result = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            power, ambient_c=45.0
+        )
         x, y = result.hotspot_location()
         assert x == pytest.approx(2.0, abs=0.5)
         assert y == pytest.approx(6.0, abs=0.5)
 
     def test_example_floorplan_produces_gradient(self, example_power_map, example_grid):
-        result = solve_steady_state(example_grid, example_power_map, ambient_c=45.0)
+        result = ThermalOperator.for_grid(example_grid).solve_steady_state(
+            example_power_map, ambient_c=45.0
+        )
         assert result.gradient_c() > 5.0
         assert result.max_c() < 150.0
 
 
 class TestTemperatureMap:
     def test_sample_interpolates_inside_die(self, uniform_grid, uniform_power_map):
-        result = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        result = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         centre = result.sample(4.0, 4.0)
         assert result.min_c() <= centre <= result.max_c()
 
     def test_sample_outside_die_rejected(self, uniform_grid, uniform_power_map):
-        result = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        result = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         with pytest.raises(TechnologyError):
             result.sample(9.0, 1.0)
 
@@ -97,7 +113,9 @@ class TestTemperatureMap:
 
 class TestTransient:
     def test_warms_towards_steady_state(self, uniform_grid, uniform_power_map):
-        steady = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        steady = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         result = solve_transient(
             uniform_grid,
             lambda t: uniform_power_map,
@@ -112,7 +130,9 @@ class TestTransient:
         assert result.final.max_c() == pytest.approx(steady.max_c(), rel=0.05)
 
     def test_cooling_when_power_removed(self, uniform_grid, uniform_power_map):
-        steady = solve_steady_state(uniform_grid, uniform_power_map, ambient_c=45.0)
+        steady = ThermalOperator.for_grid(uniform_grid).solve_steady_state(
+            uniform_power_map, ambient_c=45.0
+        )
         off = PowerMap.zeros(8.0, 8.0, 12, 12)
         result = solve_transient(
             uniform_grid,

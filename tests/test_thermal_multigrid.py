@@ -12,9 +12,9 @@ Three layers of evidence:
   multi-RHS and transient workloads, plus the grid-independence of the
   iteration count that justifies routing ``auto`` through multigrid.
 
-The 256x256 full-die run (steady + multi-RHS transient through
-``method="auto"`` with sparse-direct factorization forbidden) is in the
-slow lane.
+The 256x256 full-die run (steady + multi-RHS transient through the
+size-picked solver, with sparse-direct factorization forbidden) is in
+the slow lane.
 """
 
 import numpy as np
@@ -36,8 +36,25 @@ from repro.thermal.multigrid import (
     prolongation_1d,
     prolongation_matrix,
 )
+from tests.oracles import solve_columns_loop
 
 ITERATIVE_RTOL = 1e-8
+
+
+@pytest.fixture
+def operator_with(monkeypatch):
+    """Build an operator whose size rule picks the named solver, by moving
+    ``iterative_threshold`` to either side of the grid's unknown count."""
+
+    def build(grid, solver):
+        unknowns = grid.nx * grid.ny
+        threshold = unknowns if solver == "direct" else unknowns - 1
+        monkeypatch.setattr(ThermalOperator, "iterative_threshold", threshold)
+        operator = ThermalOperator(grid)
+        assert operator.method == solver
+        return operator
+
+    return build
 
 
 def _grid_at(resolution):
@@ -192,19 +209,19 @@ class TestMultigridSolves:
     def grid_and_power(self, request):
         return _grid_at(request.param)
 
-    def test_steady_agrees_with_direct(self, grid_and_power):
+    def test_steady_agrees_with_direct(self, grid_and_power, operator_with):
         grid, power = grid_and_power
         rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(rhs)
-        multigrid = ThermalOperator(grid, method="multigrid").steady_rise(rhs)
+        direct = operator_with(grid, "direct").steady_rise(rhs)
+        multigrid = operator_with(grid, "multigrid").steady_rise(rhs)
         assert np.max(np.abs(multigrid - direct) / np.abs(direct)) <= ITERATIVE_RTOL
 
-    def test_multi_rhs_agrees_with_direct(self, grid_and_power):
+    def test_multi_rhs_agrees_with_direct(self, grid_and_power, operator_with):
         grid, power = grid_and_power
         rhs = power.values_w.reshape(-1)
         stack = np.stack([rhs, 0.25 * rhs, np.zeros_like(rhs), 2.0 * rhs], axis=1)
-        direct = ThermalOperator(grid, method="direct").steady_rise(stack)
-        multigrid = ThermalOperator(grid, method="multigrid").steady_rise(stack)
+        direct = operator_with(grid, "direct").steady_rise(stack)
+        multigrid = operator_with(grid, "multigrid").steady_rise(stack)
         assert multigrid.shape == stack.shape
         # The zero column must come back exactly zero, not noise.
         assert np.array_equal(multigrid[:, 2], np.zeros(rhs.size))
@@ -214,11 +231,11 @@ class TestMultigridSolves:
             <= ITERATIVE_RTOL
         )
 
-    def test_transient_stepping_agrees_with_direct(self, grid_and_power):
+    def test_transient_stepping_agrees_with_direct(self, grid_and_power, operator_with):
         grid, power = grid_and_power
         rhs = power.values_w.reshape(-1)
-        direct = ThermalOperator(grid, method="direct").stepper(0.01)
-        multigrid = ThermalOperator(grid, method="multigrid").stepper(0.01)
+        direct = operator_with(grid, "direct").stepper(0.01)
+        multigrid = operator_with(grid, "multigrid").stepper(0.01)
         rise_d = np.zeros(grid.nx * grid.ny)
         rise_m = np.zeros(grid.nx * grid.ny)
         for _ in range(20):
@@ -226,23 +243,24 @@ class TestMultigridSolves:
             rise_m = multigrid.step(rise_m, rhs)
             assert np.max(np.abs(rise_m - rise_d) / np.abs(rise_d)) <= ITERATIVE_RTOL
 
-    def test_block_matches_column_loop(self, grid_and_power):
+    def test_block_matches_column_loop(self, grid_and_power, operator_with):
         grid, power = grid_and_power
         rhs = power.values_w.reshape(-1)
-        solve = ThermalOperator(grid, method="multigrid").steady_solve()
+        solve = operator_with(grid, "multigrid").steady_solve()
         stack = np.stack([rhs, 0.5 * rhs, 1.5 * rhs], axis=1)
         block = solve(stack)
-        loop = solve.solve_columns_loop(stack)
+        loop = solve_columns_loop(solve, stack)
         assert np.allclose(block, loop, rtol=1e-6, atol=0.0)
 
-    def test_iteration_count_is_grid_independent(self):
+    def test_iteration_count_is_grid_independent(self, operator_with):
         # The whole point of the multigrid preconditioner: CG converges
         # in essentially the same handful of iterations at every
-        # resolution, where ILU's count grows with the grid.
+        # resolution, where a grid-blind preconditioner's count grows
+        # with the grid.
         counts = {}
         for resolution in (48, 96):
             grid, power = _grid_at(resolution)
-            solve = ThermalOperator(grid, method="multigrid").steady_solve()
+            solve = operator_with(grid, "multigrid").steady_solve()
             solve(power.values_w.reshape(-1))
             counts[resolution] = solve.last_iterations
         assert all(0 < count <= 25 for count in counts.values())
