@@ -629,11 +629,13 @@ def test_tiled_parallel_speedup_at_4_workers():
     """The PR 6 acceptance criterion: the multiprocess backend is >= 2x
     faster than serial tiles at 4 workers on the 20000-sample sweep,
     with bitwise-identical results.  The floor is a statement about
-    parallel hardware, so it is asserted only where 4 cores exist (the
-    CI bench job runs on 4-vCPU runners); the bitwise-identity half
-    holds — and is checked — everywhere."""
+    parallel hardware, so it runs at ``min(4, cores)`` workers with the
+    per-core bound ``speedup >= workers / 2``: 2x on the 4-vCPU CI
+    runners, and "parallel must not lose" (1x) on 2 cores.  Only a
+    1-core box skips the floor; the bitwise-identity half holds — and
+    is checked — everywhere."""
     sweep = _tiled_sweep()
-    workers = 4
+    workers = min(4, os.cpu_count() or 1)
 
     parallel_executor = ProcessExecutor(max_workers=workers)
     # Warm the worker pool outside the timing: pool startup is a
@@ -658,13 +660,9 @@ def test_tiled_parallel_speedup_at_4_workers():
 
     assert serial.dims == parallel.dims
     assert np.array_equal(serial.values, parallel.values)
-    if (os.cpu_count() or 1) >= workers:
-        assert speedup >= 2.0
-    else:
-        pytest.skip(
-            f"speedup floor needs {workers} cores, have {os.cpu_count()}; "
-            f"bitwise identity verified"
-        )
+    if workers < 2:
+        pytest.skip("speedup floor needs 2 cores, have 1; bitwise identity verified")
+    assert speedup >= workers / 2
 
 
 @pytest.mark.benchmark(group="sweep-tiled-parallel")
@@ -1182,7 +1180,11 @@ def test_multiworker_throughput_floor_at_8_concurrent_sweeps():
     against a 4-worker server complete >= 2x faster than against a
     single-worker server, and every served payload is bitwise identical
     to its solo local evaluation (the process pool's tiled path carries
-    the engine's bitwise-identity guarantee end to end)."""
+    the engine's bitwise-identity guarantee end to end).  The server
+    runs ``min(4, cores)`` workers with the per-core bound
+    ``speedup >= workers / 2`` (1x — parallel must not lose — on 2
+    cores); only a 1-core box skips the floor."""
+    workers = min(SERVE_MULTI_WORKERS, os.cpu_count() or 1)
     single = start_server_thread(workers=1, batch_window_ms=0.0)
     try:
         with ServeClient("127.0.0.1", single.port) as remote:
@@ -1195,9 +1197,7 @@ def test_multiworker_throughput_floor_at_8_concurrent_sweeps():
     finally:
         single.stop()
 
-    multi = start_server_thread(
-        workers=SERVE_MULTI_WORKERS, batch_window_ms=0.0
-    )
+    multi = start_server_thread(workers=workers, batch_window_ms=0.0)
     try:
         with ServeClient("127.0.0.1", multi.port) as remote:
             remote.sweep_payload(_distinct_sweep_spec(99))  # warm pool + path
@@ -1218,18 +1218,14 @@ def test_multiworker_throughput_floor_at_8_concurrent_sweeps():
     speedup = single_s / best_s
     print(
         f"\nserve-multiworker speedup at {SERVE_CLIENTS} concurrent sweeps, "
-        f"{SERVE_MULTI_WORKERS} workers: {speedup:.1f}x "
+        f"{workers} workers: {speedup:.1f}x "
         f"(single-worker {single_s * 1e3:.0f} ms, multi {best_s * 1e3:.0f} ms)"
     )
     for spec, served in zip(specs, results):
         assert served == Sweep.from_dict(spec).run().to_dict()
-    if (os.cpu_count() or 1) >= SERVE_MULTI_WORKERS:
-        assert speedup >= 2.0
-    else:
-        pytest.skip(
-            f"speedup floor needs {SERVE_MULTI_WORKERS} cores, have "
-            f"{os.cpu_count()}; bitwise identity verified"
-        )
+    if workers < 2:
+        pytest.skip("speedup floor needs 2 cores, have 1; bitwise identity verified")
+    assert speedup >= workers / 2
 
 
 @pytest.mark.benchmark(group="serve-multiworker")

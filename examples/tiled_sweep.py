@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Tiled sweep execution: out-of-core assembly and multiprocess fan-out.
 
-``Sweep.run()`` evaluates the whole axis product as one dense in-memory
-broadcast — the right default at paper scale, a hard wall when the
-sample axis grows toward production Monte-Carlo counts.  The tiled
-execution layer (``repro.engine.tiling`` + ``repro.engine.executors``)
-splits the planned sweep into bounded-memory chunks along the
-cheapest-to-split axes (sample, then temperature) and runs them through
-a pluggable backend; every backend is **bitwise identical** to the
-dense path, because each tile evaluates exactly the same elementwise
-broadcast on a slice of the population.
+``Sweep.run()`` always goes through the tiled execution layer
+(``repro.engine.tiling`` + ``repro.engine.executors``): it splits the
+planned sweep into chunks of at most ``max_tile_elements`` elements
+along the cheapest-to-split axes (sample, then temperature) and runs
+them through a pluggable backend.  At the default budget (2^20
+elements) a paper-scale sweep is one tile — one dense in-memory
+broadcast; a sweep whose sample axis grows toward production
+Monte-Carlo counts splits into many.  Every backend and tile size is
+**bitwise identical** to the one-tile run, because each tile evaluates
+exactly the same elementwise broadcast on a slice of the population.
 
 This example
 
 1. runs a sweep whose dense result tensor exceeds a deliberately tiny
-   memory budget *out of core*: tiles stream through a
+   tile budget *out of core*: tiles stream through a
    ``np.memmap``-backed sink, so the full tensor never lives in RAM —
    the same mechanism that lets a bigger-than-RAM sample axis complete,
 2. aggregates the same oversized sweep through *streaming reducers*
@@ -61,23 +62,23 @@ def main() -> None:
     temperatures = np.linspace(-50.0, 150.0, 41)
 
     # ------------------------------------------------------------------ #
-    # 1. out-of-core: dense tensor larger than the memory budget
+    # 1. out-of-core: dense tensor larger than the tile budget
     # ------------------------------------------------------------------ #
     population = sample_technology_array(CMOS035, 4000, seed=77)
     sweep = build_sweep(population, temperatures)
     dense_bytes = len(population) * temperatures.size * 8
-    budget = 256 * 1024  # pretend RAM ends at 256 KiB of result
+    budget = 32 * 1024  # pretend RAM ends at 32K float64 elements (256 KiB)
     print("Out-of-core execution")
     print(f"  dense result tensor : {dense_bytes / 1e6:6.2f} MB "
           f"({len(population)} samples x {temperatures.size} temperatures)")
-    print(f"  memory budget       : {budget / 1024:6.0f} KiB")
+    print(f"  tile budget         : {budget} elements ({budget * 8 / 1024:.0f} KiB)")
 
-    tiling = plan_tiles(sweep.plan(), memory_budget_bytes=budget)
+    tiling = plan_tiles(sweep.plan(), max_tile_elements=budget)
     print(f"  tiling              : {len(tiling.tiles)} tiles along "
           f"{[b[0] for b in tiling.tiles[0].bounds]}")
 
     start = time.perf_counter()
-    result = sweep.run(executor=MemmapExecutor(memory_budget_bytes=budget))
+    result = sweep.run(executor=MemmapExecutor(), max_tile_elements=budget)
     elapsed = time.perf_counter() - start
     print(f"  completed in        : {elapsed * 1e3:7.1f} ms  "
           f"dims={result.dims} shape={result.shape}")
@@ -100,7 +101,7 @@ def main() -> None:
                                 float(np.max(result.values)) * 1.0001)
             ),
         },
-        max_tile_elements=budget // 8,
+        max_tile_elements=budget,
     )
     dense_mean = float(np.mean(result.values))
     print(f"  streamed mean       : {reduced['mean']:.6e} s "

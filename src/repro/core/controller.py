@@ -136,11 +136,6 @@ class MeasurementController:
     def measurements_completed(self) -> int:
         return self._measurements_completed
 
-    @property
-    def enabled_cycles_total(self) -> int:
-        """Reference cycles the oscillator has spent enabled (self-heating proxy)."""
-        return self._enabled_cycles_total
-
     def duty_cycle(self, total_cycles: int) -> float:
         """Fraction of ``total_cycles`` the oscillator was enabled."""
         if total_cycles <= 0:

@@ -336,14 +336,6 @@ class SensorBank:
             self.site_count, len(technologies)
         )
 
-    def measured_period_tensor(
-        self, junction_temperatures_c, technologies=None
-    ) -> np.ndarray:
-        """Counter-quantised period estimates of every site (one batch)."""
-        periods = self.period_tensor(junction_temperatures_c, technologies)
-        codes, _saturated = self.counter.convert_batch(periods)
-        return self.counter.codes_to_periods(codes)
-
     # ------------------------------------------------------------------ #
     # calibration
     # ------------------------------------------------------------------ #

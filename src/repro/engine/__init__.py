@@ -13,7 +13,6 @@ from .executors import (
     MemmapExecutor,
     ProcessExecutor,
     SerialExecutor,
-    make_executor,
     resolve_executor,
 )
 from .reducers import HistogramReducer, MeanReducer, PercentileReducer
@@ -45,7 +44,6 @@ __all__ = [
     "SweepResult",
     "Tile",
     "TilingPlan",
-    "make_executor",
     "plan_result_tiles",
     "plan_tiles",
     "resolve_executor",

@@ -2,11 +2,13 @@
 
 The planner (:mod:`repro.engine.sweep`) lowers a workload, the tiling
 pass (:mod:`repro.engine.tiling`) partitions it into bounded-memory
-chunks, and this module runs the chunks:
+chunks, and this module runs the chunks.  Every sweep takes this one
+path; a sweep within the tile budget is simply one tile:
 
-* :class:`SerialExecutor` — evaluates tiles in order, in process.  With
-  one tile this is exactly the dense path; with many it is the
-  bounded-memory reference backend the others must bit-match.
+* :class:`SerialExecutor` — evaluates tiles in order, in process; the
+  backend of a sweep run without ``executor=``.  With one tile this is
+  the single dense broadcast; with many it is the bounded-memory
+  reference backend the others must bit-match.
 * :class:`ProcessExecutor` — fans tiles out over a
   :class:`concurrent.futures.ProcessPoolExecutor`.  The technology
   population's stacked columns travel to the workers through one POSIX
@@ -17,18 +19,18 @@ chunks, and this module runs the chunks:
   once.
 * :class:`MemmapExecutor` — the out-of-core backend: tiles run serially
   but the assembled result lives in an ``np.memmap``-backed array, so a
-  sweep whose dense tensor exceeds RAM (or the configured
-  ``memory_budget_bytes``) still completes, bounded by one tile plus
-  the page cache.
+  sweep whose dense tensor exceeds RAM still completes, bounded by one
+  tile (``max_tile_elements``) plus the page cache.
 
 :func:`run_plan` is the orchestration entry used by
 :meth:`~repro.engine.sweep.SweepPlan.execute` /
 :meth:`~repro.engine.sweep.SweepPlan.reduce`: it tiles the plan, streams
-``(tile, values)`` pairs out of the backend, assembles them into a
-labeled :class:`~repro.engine.sweep.SweepResult` (or feeds streaming
-reducers, never materializing the tensor).  :func:`resolve_executor`
-maps an explicit ``executor=`` argument (``None``, a backend name or an
-instance) onto a concrete executor; ``None`` is the dense path.
+``(tile, values)`` pairs out of the backend, and either assembles them
+into a labeled :class:`~repro.engine.sweep.SweepResult` or feeds them to
+streaming reducers, never materializing the tensor.
+:func:`resolve_executor` maps an explicit ``executor=`` argument
+(``None``, a backend name or an instance) onto a concrete executor;
+``None`` is the serial backend.
 
 Fork/pickle semantics: worker processes never receive thermal
 factorizations or operator caches — those are process-local (see
@@ -63,7 +65,6 @@ __all__ = [
     "SerialExecutor",
     "ProcessExecutor",
     "MemmapExecutor",
-    "make_executor",
     "resolve_executor",
     "run_plan",
 ]
@@ -103,26 +104,18 @@ class SerialExecutor(Executor):
 class MemmapExecutor(SerialExecutor):
     """Out-of-core backend: the assembled result is ``np.memmap``-backed.
 
-    Tiles evaluate serially (each bounded by the tiling budget); their
-    values land in a disk-backed array, so the dense result tensor never
-    needs to fit in RAM.  With ``path=None`` the backing file is an
-    anonymous unlinked temporary (space reclaimed when the result is
+    Tiles evaluate serially (each bounded by ``max_tile_elements``);
+    their values land in a disk-backed array, so the dense result tensor
+    never needs to fit in RAM.  With ``path=None`` the backing file is
+    an anonymous unlinked temporary (space reclaimed when the result is
     garbage collected); an explicit ``path`` keeps the file as a
-    reusable artifact.  ``memory_budget_bytes`` doubles as the default
-    tiling budget when the caller gave none.
+    reusable artifact.
     """
 
     name = "memmap"
 
-    def __init__(
-        self,
-        path: Optional[str] = None,
-        memory_budget_bytes: int = 64 << 20,
-    ) -> None:
-        if int(memory_budget_bytes) < 8:
-            raise SweepError("memory_budget_bytes must cover at least one element")
+    def __init__(self, path: Optional[str] = None) -> None:
         self.path = path
-        self.memory_budget_bytes = int(memory_budget_bytes)
 
     def allocate(self, shape: Tuple[int, ...], dtype: Any) -> np.ndarray:
         if self.path is not None:
@@ -240,6 +233,21 @@ def _noop() -> None:
     """Prewarm task: forces the lazy pool to actually spawn workers."""
 
 
+def _init_worker() -> None:
+    """Worker start-up: let tile temporaries reuse heap pages.
+
+    glibc's malloc maps every block above its dynamic mmap threshold
+    afresh and trims the heap back to the OS beyond twice that
+    threshold, so a fresh worker faults each temporary of each tile in
+    again: about 27K minor page faults, half the CPU time of a
+    2^17-element tile.  Freeing one 16 MiB block (under glibc's 32 MiB
+    ceiling for the dynamic threshold) raises both thresholds, as a
+    long-running parent's own history already has; other allocators
+    ignore it.
+    """
+    np.empty(1 << 21)
+
+
 def _run_remote_tile(plan: SweepPlan, tile: Tile, meta) -> np.ndarray:
     """Worker entry: evaluate one tile densely and return its values."""
     if meta is None:
@@ -301,7 +309,11 @@ class ProcessExecutor(Executor):
                 if "fork" in multiprocessing.get_all_start_methods()
                 else None
             )
-            pool = _PoolImpl(max_workers=self.max_workers, mp_context=context)
+            pool = _PoolImpl(
+                max_workers=self.max_workers,
+                mp_context=context,
+                initializer=_init_worker,
+            )
             _POOLS[self.max_workers] = pool
         return pool
 
@@ -355,37 +367,27 @@ class ProcessExecutor(Executor):
 # resolution and orchestration
 # --------------------------------------------------------------------------- #
 
-_EXECUTOR_FACTORIES = {
-    "serial": lambda workers: SerialExecutor(),
-    "memmap": lambda workers: MemmapExecutor(),
-    "process": lambda workers: ProcessExecutor(max_workers=workers),
-}
-
-
-def make_executor(name: str, max_workers: Optional[int] = None) -> Executor:
-    """Build a backend from its name (``serial``/``process``/``memmap``)."""
-    factory = _EXECUTOR_FACTORIES.get(name.strip().lower())
-    if factory is None:
-        raise SweepError(
-            f"unknown executor {name!r}; choose one of "
-            f"{tuple(sorted(_EXECUTOR_FACTORIES))} (or 'dense')"
-        )
-    return factory(max_workers)
-
-
-def resolve_executor(executor: Any) -> Optional[Executor]:
+def resolve_executor(executor: Any) -> Executor:
     """Resolve an executor argument to a backend.
 
-    ``None`` (or the name ``dense``) means "no backend": the dense
-    single-pass path.  Other strings name a backend; executor instances
-    pass through.
+    ``None`` is the in-process :class:`SerialExecutor`; a string names a
+    backend (``serial``/``process``/``memmap``, built with its defaults
+    — pass ``ProcessExecutor(max_workers=...)`` for a worker count);
+    executor instances pass through.
     """
     if executor is None:
-        return None
+        return SerialExecutor()
     if isinstance(executor, str):
-        if executor.strip().lower() in ("dense", "none"):
-            return None
-        return make_executor(executor)
+        backends = {
+            backend.name: backend
+            for backend in (SerialExecutor, ProcessExecutor, MemmapExecutor)
+        }
+        backend = backends.get(executor.strip().lower())
+        if backend is None:
+            raise SweepError(
+                f"unknown executor {executor!r}; choose one of {tuple(sorted(backends))}"
+            )
+        return backend()
     if isinstance(executor, Executor) or callable(
         getattr(executor, "run_tiles", None)
     ):
@@ -397,8 +399,6 @@ def resolve_executor(executor: Any) -> Optional[Executor]:
 
 
 def _normalise_reducers(reducers: Any) -> Tuple[Dict[str, Any], bool]:
-    if reducers is None:
-        raise SweepError("reduce() needs at least one streaming reducer")
     if isinstance(reducers, Mapping):
         mapping = dict(reducers)
         single = False
@@ -419,55 +419,40 @@ def _normalise_reducers(reducers: Any) -> Tuple[Dict[str, Any], bool]:
 
 def run_plan(
     plan: SweepPlan,
-    executor: Optional[Executor] = None,
+    executor: Any = None,
     max_tile_elements: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
     reducers: Any = None,
-    keep_values: bool = True,
 ):
-    """Tile a plan, run it through a backend, assemble and/or reduce.
+    """Tile a plan, run it through a backend, then assemble or reduce.
 
-    The workhorse behind :meth:`SweepPlan.execute` (``keep_values=True``:
-    assemble the labeled result, optionally feeding reducers on the way)
-    and :meth:`SweepPlan.reduce` (``keep_values=False``: stream tiles
-    through the reducers only — the full tensor never exists).
+    The one execution path behind :meth:`SweepPlan.execute` and
+    :meth:`SweepPlan.reduce`.  ``executor`` is resolved by
+    :func:`resolve_executor` and ``max_tile_elements`` bounds each tile
+    (:func:`~repro.engine.tiling.plan_tiles`).  Without ``reducers`` the
+    tiles assemble into the labeled result; with them, tiles stream
+    through the reducers only — the full tensor never exists — and the
+    finalized reduction is returned.
     """
-    if not keep_values and reducers is None:
-        raise SweepError("reduce() needs at least one streaming reducer")
-    if executor is None:
-        executor = SerialExecutor()
-    if memory_budget_bytes is None:
-        memory_budget_bytes = getattr(executor, "memory_budget_bytes", None)
-    tiling = plan_tiles(
-        plan,
-        max_tile_elements=max_tile_elements,
-        memory_budget_bytes=memory_budget_bytes,
-    )
-    reducer_map: Dict[str, Any] = {}
-    single = False
+    executor = resolve_executor(executor)
+    tiling = plan_tiles(plan, max_tile_elements=max_tile_elements)
     if reducers is not None:
         reducer_map, single = _normalise_reducers(reducers)
         for reducer in reducer_map.values():
             reducer.prepare(tiling)
+        for tile, values in executor.run_tiles(tiling):
+            for reducer in reducer_map.values():
+                reducer.update(tiling, tile, values)
+        reduced = {name: reducer.result(tiling) for name, reducer in reducer_map.items()}
+        return reduced["result"] if single else reduced
     sink: Optional[np.ndarray] = None
     for tile, values in executor.run_tiles(tiling):
-        if keep_values:
-            if sink is None:
-                sink = executor.allocate(tiling.shape, values.dtype)
-            sink[tile.slices(tiling.dims)] = values
-        for reducer in reducer_map.values():
-            reducer.update(tiling, tile, values)
-    if keep_values:
-        assert sink is not None  # a tiling always has at least one tile
-        result = SweepResult(
-            values=sink,
-            dims=tiling.dims,
-            coords=tiling.coords,
-            observable=plan.observable,
-        )
-        if not reducer_map:
-            return result
-        reduced = {name: reducer.result(tiling) for name, reducer in reducer_map.items()}
-        return result, (reduced["result"] if single else reduced)
-    reduced = {name: reducer.result(tiling) for name, reducer in reducer_map.items()}
-    return reduced["result"] if single else reduced
+        if sink is None:
+            sink = executor.allocate(tiling.shape, values.dtype)
+        sink[tile.slices(tiling.dims)] = values
+    assert sink is not None  # a tiling always has at least one tile
+    return SweepResult(
+        values=sink,
+        dims=tiling.dims,
+        coords=tiling.coords,
+        observable=plan.observable,
+    )

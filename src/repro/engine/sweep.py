@@ -1407,13 +1407,10 @@ class Sweep:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> SweepResult:
         """Plan and evaluate the sweep (see :meth:`SweepPlan.execute`)."""
         return self.plan().execute(
-            executor=executor,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
+            executor=executor, max_tile_elements=max_tile_elements
         )
 
     def reduce(
@@ -1422,14 +1419,10 @@ class Sweep:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> Any:
         """Plan and stream the sweep through reducers (:meth:`SweepPlan.reduce`)."""
         return self.plan().reduce(
-            reducers,
-            executor=executor,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
+            reducers, executor=executor, max_tile_elements=max_tile_elements
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -1585,40 +1578,27 @@ class SweepPlan:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> SweepResult:
         """Evaluate the plan and label the result.
 
-        With no arguments this is the dense in-memory single-pass
-        evaluation — the reference semantics every other path must
-        bit-match.
-
-        ``executor`` selects a tiled execution backend (an
-        :class:`~repro.engine.executors.Executor` instance, or one of
-        the names ``"serial"`` / ``"process"`` / ``"memmap"``); the
-        plan is then partitioned by :func:`~repro.engine.tiling.plan_tiles`
-        into bounded-memory chunks along the cheapest-to-split axes
-        (``sample``, then ``temperature``) and the tiles are evaluated
-        through the backend.  ``max_tile_elements`` /
-        ``memory_budget_bytes`` bound each tile's dense sub-tensor;
-        giving either without an executor runs the tiles serially
-        in-process.  Tiled results are bitwise identical to the dense
-        pass (each tile is an elementwise slice of the same broadcast).
+        Every evaluation takes one path,
+        :func:`~repro.engine.executors.run_plan`: the plan is
+        partitioned by :func:`~repro.engine.tiling.plan_tiles` into
+        tiles of at most ``max_tile_elements`` elements (default
+        :data:`~repro.engine.tiling.DEFAULT_TILE_ELEMENTS`, 2^20) along
+        the cheapest-to-split axes (``sample``, then ``temperature``),
+        and ``executor`` evaluates them — an
+        :class:`~repro.engine.executors.Executor` instance or one of the
+        names ``"serial"`` / ``"process"`` / ``"memmap"``; ``None`` is
+        the in-process serial backend.  A sweep within the budget is
+        one tile, evaluated as the single dense broadcast; a tiled
+        result is bitwise identical to it (each tile is an elementwise
+        slice of the same broadcast).
         """
-        from .executors import resolve_executor, run_plan
+        from .executors import run_plan
 
-        resolved = resolve_executor(executor)
-        if (
-            resolved is None
-            and max_tile_elements is None
-            and memory_budget_bytes is None
-        ):
-            return self._execute_dense()
         return run_plan(
-            self,
-            executor=resolved,
-            max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
+            self, executor=executor, max_tile_elements=max_tile_elements
         )
 
     def reduce(
@@ -1627,7 +1607,6 @@ class SweepPlan:
         *,
         executor: Any = None,
         max_tile_elements: Optional[int] = None,
-        memory_budget_bytes: Optional[int] = None,
     ) -> Any:
         """Stream the sweep through reducers without keeping the tensor.
 
@@ -1639,19 +1618,19 @@ class SweepPlan:
         state.  Returns the finalized reduction (or a dict of them,
         matching the mapping's keys).
         """
-        from .executors import resolve_executor, run_plan
+        from .executors import run_plan
 
+        if reducers is None:
+            raise SweepError("reduce() needs at least one streaming reducer")
         return run_plan(
             self,
-            executor=resolve_executor(executor),
+            executor=executor,
             max_tile_elements=max_tile_elements,
-            memory_budget_bytes=memory_budget_bytes,
             reducers=reducers,
-            keep_values=False,
         )
 
     def _execute_dense(self) -> SweepResult:
-        """The dense single-broadcast evaluation (the oracle semantics)."""
+        """The dense single-broadcast evaluation of one tile."""
         tech_axis = self.axis("technology")
         if tech_axis is not None:
             # Outermost per-node loop: each node re-enters this method

@@ -5,10 +5,12 @@ whole axis product as one in-memory broadcast — fine at paper scale,
 a hard wall for production cross products (a configuration x
 resolution x sample x temperature sweep at millions of samples is one
 multi-gigabyte allocation on one core).  This module is the planning
-half of the split: :func:`plan_tiles` partitions the *result index
-space* of a validated :class:`~repro.engine.sweep.SweepPlan` into
-:class:`Tile` chunks whose dense sub-tensors respect a memory budget,
-and :func:`subplan` lowers one tile back into an ordinary ``SweepPlan``
+half of the split, and every sweep passes through it:
+:func:`plan_tiles` partitions the *result index space* of a validated
+:class:`~repro.engine.sweep.SweepPlan` into :class:`Tile` chunks of at
+most ``max_tile_elements`` elements (:data:`DEFAULT_TILE_ELEMENTS`
+unless the caller sets it, so a paper-scale sweep is one tile), and
+:func:`subplan` lowers one tile back into an ordinary ``SweepPlan``
 over sliced axes, ready for any executor backend
 (:mod:`repro.engine.executors`) to evaluate.
 
@@ -52,15 +54,14 @@ __all__ = [
     "tile_index_space",
 ]
 
-#: Default bound on a tile's dense element count when a tiled execution
-#: is requested without an explicit budget: 2^20 float64 elements is an
-#: 8 MiB sub-tensor — small enough to stream and pickle cheaply, large
-#: enough that per-tile planning overhead stays negligible.
+#: Bound on a tile's dense element count when a sweep runs without an
+#: explicit ``max_tile_elements``: 2^20 float64 elements is an 8 MiB
+#: sub-tensor — small enough to stream and pickle cheaply, large enough
+#: that every paper-scale sweep stays one tile (the single dense
+#: broadcast).  A cache-sized budget was measured slower: serial 8K-32K
+#: element tiles made a 6x1000x41 configuration sweep 2.6-6.7x slower
+#: than one tile.
 DEFAULT_TILE_ELEMENTS = 1 << 20
-
-#: Result dtype assumed when converting a byte budget into an element
-#: budget (``period``/``power`` are float64, ``code`` is int64 — both 8).
-_ITEMSIZE = 8
 
 #: The axes a tiling pass may split, in preference order: the kinds
 #: with a slicer, in canonical order (``sample``, then
@@ -155,30 +156,17 @@ def _splittable_axes(plan: SweepPlan) -> List[str]:
 def plan_tiles(
     plan: SweepPlan,
     max_tile_elements: Optional[int] = None,
-    memory_budget_bytes: Optional[int] = None,
 ) -> TilingPlan:
     """Partition a validated plan into bounded-memory tiles.
 
-    ``max_tile_elements`` bounds each tile's dense sub-tensor directly;
-    ``memory_budget_bytes`` is the same bound expressed in bytes (at 8
-    bytes per element).  When both are given the tighter one wins; when
-    neither is given :data:`DEFAULT_TILE_ELEMENTS` applies.  The bound
-    is best-effort: unsplittable axes (everything but ``sample`` and
+    ``max_tile_elements`` bounds each tile's dense sub-tensor
+    (:data:`DEFAULT_TILE_ELEMENTS` when ``None``).  The bound is
+    best-effort: unsplittable axes (everything but ``sample`` and
     ``temperature``) set a floor of one full cross-section per tile.
     """
-    budgets = []
-    if max_tile_elements is not None:
-        if int(max_tile_elements) < 1:
-            raise SweepError("max_tile_elements must be at least 1")
-        budgets.append(int(max_tile_elements))
-    if memory_budget_bytes is not None:
-        if int(memory_budget_bytes) < _ITEMSIZE:
-            raise SweepError(
-                f"memory_budget_bytes must cover at least one "
-                f"{_ITEMSIZE}-byte element"
-            )
-        budgets.append(max(1, int(memory_budget_bytes) // _ITEMSIZE))
-    budget = min(budgets) if budgets else DEFAULT_TILE_ELEMENTS
+    budget = DEFAULT_TILE_ELEMENTS if max_tile_elements is None else int(max_tile_elements)
+    if budget < 1:
+        raise SweepError("max_tile_elements must be at least 1")
 
     dims = tuple(axis.name for axis in plan.axes)
     shape = tuple(len(axis) for axis in plan.axes)

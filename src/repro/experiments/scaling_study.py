@@ -72,13 +72,6 @@ class ScalingStudyResult:
             / self.points[0].relative_sensitivity_per_k
         )
 
-    def all_nodes_usable(self, nonlinearity_limit_percent: float = 1.0) -> bool:
-        """Whether the chosen mix stays acceptably linear on every node."""
-        return all(
-            point.max_nonlinearity_percent < nonlinearity_limit_percent
-            for point in self.points
-        )
-
     def format_table(self) -> str:
         lines = [
             f"EXT-SCALING - sensor ({self.configuration_label}) across technology nodes",

@@ -126,9 +126,9 @@ def run_thermal_map_study(
     example processor and scanned against the whole technology
     population in one ``site x sample`` sweep; the reported errors are
     statistics over the population.  ``executor`` /
-    ``max_tile_elements`` select a tiled execution backend for the
-    scans (see :meth:`repro.engine.Sweep.run`); the defaults keep the
-    dense path.
+    ``max_tile_elements`` select the execution backend and tile budget
+    of the scans (see :meth:`repro.engine.Sweep.run`); the defaults run
+    them serially at the default tile budget.
     """
     tech = technology if technology is not None else CMOS035
     configuration = RingConfiguration.parse(configuration_text)
@@ -232,13 +232,6 @@ class ThermalResolutionStudyResult:
     sample_count: int
     site_count: int
     points: List[ThermalResolutionPoint]
-
-    def converged_resolution(self, peak_tolerance_c: float) -> Optional[int]:
-        """Coarsest grid whose die peak sits within tolerance of the finest."""
-        for point in self.points:
-            if abs(point.peak_shift_from_finest_c) <= peak_tolerance_c:
-                return point.grid_resolution
-        return None
 
     def format_table(self) -> str:
         lines = [

@@ -35,7 +35,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.mapping import reconstruct_maps
-from ..core.sensor_bank import BankCalibration, SensorBank
 from ..tech.parameters import TechnologyError
 from ..thermal.grid import TemperatureMap
 
@@ -124,43 +123,6 @@ class PlacementObjective:
         self._hot_rows, self._hot_cols = np.unravel_index(hot, truths.shape[1:])
         self._hot_peaks = flat[np.arange(truths.shape[0]), hot]
         self.evaluations = 0
-
-    @classmethod
-    def from_bank(
-        cls,
-        bank: SensorBank,
-        true_maps: Sequence[TemperatureMap],
-        calibration: Optional[BankCalibration] = None,
-        hotspot_weight: float = 1.0,
-    ) -> "PlacementObjective":
-        """Build the objective by scanning a candidate bank directly.
-
-        One banked scan per workload map reads every candidate site at
-        its local junction temperature through the full smart-sensor
-        chain (ring, counter quantisation, two-point calibration).  The
-        experiment layer routes the equivalent scans through the
-        :class:`~repro.engine.sweep.Sweep` engine instead; this
-        constructor is the self-contained path for tests and scripts.
-        """
-        maps = list(true_maps)
-        if not maps:
-            raise TechnologyError("placement needs at least one workload map")
-        if calibration is None:
-            calibration = bank.two_point_calibration()
-        xs, ys = bank.positions()
-        columns = []
-        for true_map in maps:
-            scan = bank.scan(true_map.sample_points(xs, ys), calibration=calibration)
-            columns.append(np.asarray(scan.estimates_c, dtype=float))
-        return cls(
-            reference=maps[0],
-            site_names=bank.names(),
-            site_x_mm=xs,
-            site_y_mm=ys,
-            estimates_c=np.stack(columns, axis=1),
-            true_values_c=np.stack([m.values_c for m in maps], axis=0),
-            hotspot_weight=hotspot_weight,
-        )
 
     @property
     def site_count(self) -> int:

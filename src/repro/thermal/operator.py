@@ -185,8 +185,8 @@ class _IterativeSolve:
         ``||r_j|| <= rtol * ||b_j||`` (matching scipy's ``cg`` with
         ``atol=0``).  ``maxiter`` caps the iteration count (the
         benchmarks raise it to run the Jacobi baseline to convergence on
-        the full-die grid); the default runs to the system size, bounded
-        at 1000.
+        the full-die grid, and the Jacobi retry runs to the system size);
+        the default runs to the system size, bounded at 1000.
         """
         matrix = self._matrix
         # Convergence is tested on squared norms (one einsum per
@@ -240,8 +240,12 @@ class _IterativeSolve:
         solution, converged = self._block_cg(rhs, x0, self._preconditioner)
         if not converged.all():
             # Retry with the guaranteed-SPD Jacobi preconditioner before
-            # giving up.
-            solution, converged = self._block_cg(rhs, x0, self._jacobi)
+            # giving up, capped at the system size (CG's own bound): a
+            # full-die steady system needs more than the first
+            # attempt's 1000 Jacobi iterations.
+            solution, converged = self._block_cg(
+                rhs, x0, self._jacobi, maxiter=self._size
+            )
             if not converged.all():
                 failed = int(np.count_nonzero(~converged))
                 raise TechnologyError(

@@ -13,8 +13,9 @@ equivalence suites and the engine benchmarks compare against:
   cell-mix candidate, the supply finite difference and the per-node
   scaling study;
 * :mod:`.sensors` — one counter conversion per temperature, one smart
-  sensor per bank site, the per-site period loop, the multiplexer scan
-  and the per-sample calibration study;
+  sensor per bank site, the per-site period loop, the multiplexer scan,
+  the per-sample calibration study and the directly scanned placement
+  objective;
 * :mod:`.thermal` — one CG run per column of a multigrid block solve
   and one steady-state solve per self-heating duty cycle;
 * :mod:`.dtm` — one closed loop per throttling policy (the scalar FSM
@@ -40,6 +41,7 @@ from .rings import (
 from .sensors import (
     measurement_errors_scalar,
     monitor_scan_scalar,
+    placement_objective_from_bank,
     run_calibration_study_scalar,
     scan_loop,
     site_period_tensor_loop,
@@ -64,6 +66,7 @@ __all__ = [
     "period_matrix_loop",
     "period_matrix_scalar",
     "period_series_scalar",
+    "placement_objective_from_bank",
     "run_calibration_study_scalar",
     "run_monte_carlo_scalar",
     "run_policy_loop",

@@ -14,6 +14,7 @@ from repro.core.mapping import ThermalMonitorReport
 from repro.core.sensor import SensorTransferFunction
 from repro.core.sensor_bank import BankScan
 from repro.experiments.calibration_study import CalibrationStudyResult
+from repro.optimize import PlacementObjective
 from repro.oscillator.config import RingConfiguration
 from repro.oscillator.period import default_temperature_grid, validate_temperature_grid
 from repro.oscillator.ring import RingOscillator
@@ -253,4 +254,40 @@ def run_calibration_study_scalar(
         sample_count=len(samples),
         errors_by_scheme={k: summarize(v) for k, v in worst_errors.items()},
         worst_by_scheme={k: float(np.max(v)) for k, v in worst_errors.items()},
+    )
+
+
+def placement_objective_from_bank(
+    bank: SensorBank,
+    true_maps: Sequence,
+    calibration=None,
+    hotspot_weight: float = 1.0,
+) -> PlacementObjective:
+    """Reference constructor of a ``PlacementObjective``: scan a bank directly.
+
+    One banked scan per workload map reads every candidate site at its
+    local junction temperature through the full smart-sensor chain
+    (ring, counter quantisation, two-point calibration).  The
+    EXT-PLACEMENT study routes the equivalent scans through the
+    :class:`~repro.engine.sweep.Sweep` engine; this is the
+    self-contained path it is checked against.
+    """
+    maps = list(true_maps)
+    if not maps:
+        raise TechnologyError("placement needs at least one workload map")
+    if calibration is None:
+        calibration = bank.two_point_calibration()
+    xs, ys = bank.positions()
+    columns = []
+    for true_map in maps:
+        scan = bank.scan(true_map.sample_points(xs, ys), calibration=calibration)
+        columns.append(np.asarray(scan.estimates_c, dtype=float))
+    return PlacementObjective(
+        reference=maps[0],
+        site_names=bank.names(),
+        site_x_mm=xs,
+        site_y_mm=ys,
+        estimates_c=np.stack(columns, axis=1),
+        true_values_c=np.stack([m.values_c for m in maps], axis=0),
+        hotspot_weight=hotspot_weight,
     )

@@ -7,6 +7,9 @@ grow a switch back to them, and no public class may keep one as a
 argument (or a ``repro-serve`` flag), never an environment variable.
 The thermal solver has one way in, :class:`repro.thermal.ThermalOperator`,
 whose grid size picks the solver: no entry point takes a solve method.
+A sweep has one way to run, through the tiler: one tile bound
+(``max_tile_elements``), and executors built by ``resolve_executor`` or
+by their classes, with no byte-budget twin and no factory beside them.
 """
 
 import importlib
@@ -19,6 +22,7 @@ import pytest
 
 import repro
 import repro.engine
+import repro.engine.executors
 import repro.serve
 import repro.thermal
 import repro.thermal.operator
@@ -37,6 +41,11 @@ MODE_SWITCHES = {
     "use_technology_axis",
     "solve_method",
 }
+
+#: Execution knobs that duplicated another setting
+#: (``memory_budget_bytes`` was ``max_tile_elements`` x 8) or selected a
+#: branch no caller reached (``keep_values``).
+DELETED_EXECUTION_KNOBS = {"memory_budget_bytes", "keep_values"}
 
 #: ``*_loop`` methods the package may keep (none: every oracle loop
 #: lives in ``tests/oracles/``).
@@ -94,6 +103,27 @@ def test_no_public_callable_takes_an_evaluation_mode_switch():
             offenders.append(f"{qualname}({', '.join(sorted(switches))})")
     assert checked > 300  # the walk really reached the package's API
     assert offenders == []
+
+
+def test_no_public_callable_takes_a_deleted_execution_knob():
+    offenders = []
+    for qualname, function in _public_callables():
+        try:
+            parameters = inspect.signature(function).parameters
+        except (TypeError, ValueError):
+            continue
+        knobs = DELETED_EXECUTION_KNOBS.intersection(parameters)
+        if knobs:
+            offenders.append(f"{qualname}({', '.join(sorted(knobs))})")
+    assert offenders == []
+
+
+@pytest.mark.parametrize(
+    "module", [repro, repro.engine, repro.engine.executors], ids=lambda m: m.__name__
+)
+def test_make_executor_is_not_exported(module):
+    assert "make_executor" not in module.__all__
+    assert not hasattr(module, "make_executor")
 
 
 def test_no_public_class_keeps_a_loop_method():

@@ -6,7 +6,8 @@ promise (greedy reproducibility, annealing never returning something
 worse than its starting point); the experiment layer is pinned with a
 golden greedy placement/objective on a fixed small corpus, and the
 study's sweep-engine scan path is round-tripped against the
-self-contained :meth:`PlacementObjective.from_bank` constructor.
+self-contained reference constructor
+:func:`tests.oracles.placement_objective_from_bank`.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.optimize import (
 from repro.oscillator import RingConfiguration
 from repro.tech import CMOS035, TechnologyError
 from repro.thermal import Floorplan, PowerMap, ThermalGrid, ThermalOperator
+from tests.oracles import placement_objective_from_bank
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +42,7 @@ def small_objective():
         CMOS035, plan, RingConfiguration.parse("2INV+3NAND2"),
         library=default_library(CMOS035),
     )
-    return PlacementObjective.from_bank(bank, true_maps)
+    return placement_objective_from_bank(bank, true_maps)
 
 
 class TestPlacementObjective:
@@ -222,7 +224,7 @@ class TestPlacementStudy:
             library=default_library(CMOS035),
         )
         calibration = bank.two_point_calibration(-50.0, 150.0)
-        oracle = PlacementObjective.from_bank(bank, true_maps, calibration=calibration)
+        oracle = placement_objective_from_bank(bank, true_maps, calibration=calibration)
         via_study = run_placement_study(
             grid_resolution=16, candidate_grid=4, sensor_count=4, anneal_steps=0
         )

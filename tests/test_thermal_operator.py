@@ -207,6 +207,19 @@ class TestIterativeFallback:
         assert solve.last_iterations > 1  # the Jacobi run did the work
         assert np.max(np.abs(rise - reference) / np.abs(reference)) <= ITERATIVE_RTOL
 
+    def test_jacobi_retry_converges_on_the_full_die_grid(self):
+        # A 256x256 steady system needs ~1400 Jacobi-CG iterations, more
+        # than the first attempt's 1000-iteration cap: the retry must be
+        # allowed the system size to reach the direct answer.
+        grid, power = _grid_at(256)
+        rhs = power.values_w.reshape(-1)
+        solve = _IterativeSolve(grid.conductance_matrix, (grid.ny, grid.nx))
+        solve._preconditioner = np.zeros_like
+        reference = spsolve(grid.conductance_matrix.tocsc(), rhs)
+        rise = solve(rhs)
+        assert solve.last_iterations > 1000
+        assert np.max(np.abs(rise - reference) / np.abs(reference)) <= ITERATIVE_RTOL
+
 
 class TestWarmStartKeying:
     """Per-RHS-shape warm starts (the cross-caller pollution fix)."""

@@ -1,16 +1,17 @@
-"""Tiled / parallel / out-of-core sweep execution vs the dense oracle.
+"""Tiled / parallel / out-of-core sweep execution vs the one-tile run.
 
 The contract under test is the strongest one the tiling design claims:
 every backend — serial tiles, the multiprocess pool, the memmap
 out-of-core assembler — produces results **bitwise identical** to the
-dense single-broadcast path (which ``tests/test_sweep_api.py`` pins to
-the scalar oracle), across tile sizes from one element to
-larger-than-the-axis.  On top of that: the tiling pass partitions the
-index space exactly once, a sweep whose dense tensor exceeds the
-configured memory budget completes out-of-core, and streaming reducers
-agree with ``np.mean`` / ``np.percentile`` at 1e-12.  Backends are
-chosen only by the explicit ``executor=`` argument: with none, a sweep
-runs the dense path.
+one-tile run (the single dense broadcast, which
+``tests/test_sweep_api.py`` pins to the scalar oracle), across tile
+sizes from one element to larger-than-the-axis.  On top of that: the
+tiling pass partitions the index space exactly once, a sweep whose
+dense tensor exceeds the tile budget completes out-of-core, and
+streaming reducers agree with ``np.mean`` / ``np.percentile`` at
+1e-12.  Every ``run()`` goes through the tiler: backends are chosen
+only by the explicit ``executor=`` argument, and with none a sweep runs
+serial tiles of at most ``DEFAULT_TILE_ELEMENTS``.
 """
 
 import os
@@ -36,9 +37,10 @@ from repro.engine import (
     resolve_executor,
     subplan,
 )
+from repro.engine import executors
+from repro.engine.tiling import DEFAULT_TILE_ELEMENTS
 from repro.cells import default_library
 from repro.core import SensorBank
-from repro.engine.executors import make_executor
 from repro.oscillator import PAPER_FIG3_CONFIGURATIONS, RingConfiguration
 from repro.tech import CMOS018, CMOS035, sample_technology_array
 from repro.thermal import Floorplan
@@ -120,12 +122,6 @@ class TestPlanTiles:
             span = tile.bounds_for("sample")
             assert span is not None and span[1] - span[0] == 1
 
-    def test_memory_budget_converts_bytes_to_elements(self):
-        plan = sample_sweep().plan()
-        by_bytes = plan_tiles(plan, memory_budget_bytes=40 * 8)
-        by_elements = plan_tiles(plan, max_tile_elements=40)
-        assert by_bytes.tiles == by_elements.tiles
-
     def test_unsplittable_axes_stay_whole(self):
         plan = (
             Sweep(technology=CMOS035)
@@ -142,7 +138,7 @@ class TestPlanTiles:
         with pytest.raises(SweepError):
             plan_tiles(plan, max_tile_elements=0)
         with pytest.raises(SweepError):
-            plan_tiles(plan, memory_budget_bytes=4)
+            sample_sweep().run(executor=MemmapExecutor(), max_tile_elements=-1)
 
     def test_subplan_slices_evaluate_to_dense_slices(self, dense_period):
         plan = sample_sweep().plan()
@@ -180,7 +176,7 @@ def test_endpoint_observable_tiles_bit_match_dense(tile_elements):
 EXECUTORS = {
     "serial": lambda: SerialExecutor(),
     "process": lambda: ProcessExecutor(max_workers=2),
-    "memmap": lambda: MemmapExecutor(memory_budget_bytes=64 * 1024),
+    "memmap": lambda: MemmapExecutor(),
 }
 
 
@@ -413,22 +409,26 @@ def _memmap_backed(array):
 
 class TestOutOfCore:
     def test_result_exceeding_budget_completes_memmap_backed(self, dense_period):
-        # The dense tensor is 23 * 17 * 8 = 3128 bytes; a 1 KiB budget
-        # cannot hold it, so the sweep must tile and assemble on disk.
-        budget = 1024
-        executor = MemmapExecutor(memory_budget_bytes=budget)
-        tiled = sample_sweep("period").run(executor=executor)
-        assert dense_period.values.nbytes > budget
+        # The dense tensor is 23 * 17 = 391 elements; a 128-element
+        # budget cannot hold it, so the sweep must tile and assemble on
+        # disk.
+        budget = 128
+        tiled = sample_sweep("period").run(
+            executor=MemmapExecutor(), max_tile_elements=budget
+        )
+        assert dense_period.values.size > budget
         assert_results_equal(tiled, dense_period)
         assert _memmap_backed(tiled.values)
-        tiling = plan_tiles(sample_sweep("period").plan(), memory_budget_bytes=budget)
+        tiling = plan_tiles(sample_sweep("period").plan(), max_tile_elements=budget)
+        assert len(tiling.tiles) > 1
         for tile in tiling.tiles:
-            assert tile.element_count(tiling.dims, tiling.shape) * 8 <= budget
+            assert tile.element_count(tiling.dims, tiling.shape) <= budget
 
     def test_explicit_path_keeps_the_artifact(self, tmp_path, dense_period):
         target = tmp_path / "sweep.values"
-        executor = MemmapExecutor(path=str(target), memory_budget_bytes=2048)
-        tiled = sample_sweep("period").run(executor=executor)
+        tiled = sample_sweep("period").run(
+            executor=MemmapExecutor(path=str(target)), max_tile_elements=256
+        )
         assert_results_equal(tiled, dense_period)
         assert target.exists()
         on_disk = np.memmap(
@@ -438,17 +438,13 @@ class TestOutOfCore:
 
     def test_selection_on_memmap_result_matches_dense(self, dense_period):
         tiled = sample_sweep("period").run(
-            executor=MemmapExecutor(memory_budget_bytes=1024)
+            executor=MemmapExecutor(), max_tile_elements=128
         )
         label = tiled.coords["temperature"][3]
         assert np.array_equal(
             tiled.select(temperature=label).values,
             dense_period.select(temperature=label).values,
         )
-
-    def test_tiny_budget_rejected(self):
-        with pytest.raises(SweepError):
-            MemmapExecutor(memory_budget_bytes=4)
 
 
 # --------------------------------------------------------------------------- #
@@ -548,15 +544,22 @@ class TestStreamingReducers:
 
 
 class TestResolution:
-    def test_no_arguments_is_the_dense_path(self):
-        assert resolve_executor(None) is None
+    def test_no_arguments_is_the_serial_backend(self):
+        assert type(resolve_executor(None)) is SerialExecutor
 
     def test_names_and_instances_resolve(self):
-        assert isinstance(resolve_executor("serial"), SerialExecutor)
+        assert type(resolve_executor("serial")) is SerialExecutor
         assert isinstance(resolve_executor("memmap"), MemmapExecutor)
-        assert resolve_executor("dense") is None
+        assert isinstance(resolve_executor("process"), ProcessExecutor)
         executor = ProcessExecutor(max_workers=3)
         assert resolve_executor(executor) is executor
+
+    @pytest.mark.parametrize("name", ["dense", "none"])
+    def test_former_no_backend_names_rejected(self, name):
+        with pytest.raises(SweepError, match="unknown executor"):
+            resolve_executor(name)
+        with pytest.raises(SweepError, match="unknown executor"):
+            sample_sweep("period").run(executor=name)
 
     def test_unknown_name_and_bad_type_rejected(self):
         with pytest.raises(SweepError, match="unknown executor"):
@@ -565,10 +568,9 @@ class TestResolution:
             resolve_executor(42)
 
     def test_worker_count_reaches_process_backend(self):
-        executor = make_executor("process", max_workers=3)
-        assert isinstance(executor, ProcessExecutor)
-        assert executor.max_workers == 3
+        assert ProcessExecutor(max_workers=3).max_workers == 3
         assert ProcessExecutor().max_workers == (os.cpu_count() or 1)
+        assert resolve_executor("process").max_workers == (os.cpu_count() or 1)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_non_positive_worker_count_rejected(self, workers):
@@ -578,5 +580,29 @@ class TestResolution:
     def test_tile_budget_alone_runs_serial_tiles(self, dense_period):
         tiled = sample_sweep("period").run(max_tile_elements=23)
         assert_results_equal(tiled, dense_period)
-        tiled = sample_sweep("period").run(memory_budget_bytes=1024)
+        tiled = sample_sweep("period").run(max_tile_elements=128)
         assert_results_equal(tiled, dense_period)
+
+
+def test_default_run_tiles_a_sweep_larger_than_the_default_budget(monkeypatch):
+    # One element over DEFAULT_TILE_ELEMENTS: a bare run() must go
+    # through the tiler and split, and still be bitwise the one-tile run.
+    total = DEFAULT_TILE_ELEMENTS + 1
+    assert total % TEMPS.size == 0
+    sweep = sample_sweep(
+        population=sample_technology_array(CMOS035, total // TEMPS.size, seed=19)
+    )
+    tile_counts = []
+
+    def counting_plan_tiles(plan, max_tile_elements=None):
+        tiling = plan_tiles(plan, max_tile_elements=max_tile_elements)
+        tile_counts.append(len(tiling.tiles))
+        return tiling
+
+    monkeypatch.setattr(executors, "plan_tiles", counting_plan_tiles)
+    tiled = sweep.run()
+    assert tile_counts == [2]
+    one_tile = sweep.run(max_tile_elements=total)
+    assert tile_counts == [2, 1]
+    assert tiled.values.size == total
+    assert_results_equal(tiled, one_tile)
